@@ -136,8 +136,8 @@ impl Report {
     }
 }
 
-/// A finite JSON number (non-finite values become `null`, which the
-/// driver rejects as a broken metric).
+/// A finite JSON number (non-finite values become `null`, which
+/// `run.py` rejects as a broken metric).
 fn num(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
