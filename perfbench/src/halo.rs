@@ -24,6 +24,9 @@ pub const ACOUSTIC_N: usize = 128;
 pub const CLOVER2D_CYCLES: usize = 21;
 /// Acoustic steps per `run_distributed` call.
 pub const ACOUSTIC_STEPS: usize = 20;
+/// One-step runs timed per run for Acoustic's set-up; with three the
+/// median set-up spread 30% between runs.
+const ACOUSTIC_SETUPS: usize = 11;
 /// Gathered density vs. the serial run of the same grid: the bound the
 /// distributed-execution integration tests assert.
 pub const DENSITY_TOL: f64 = 1e-11;
@@ -217,14 +220,16 @@ fn clover2d(seconds: f64, traced: bool, roof: &Roof) -> Report {
             let wall = ranks.iter().map(|s| s.wall_s).fold(0.0, f64::max);
             let slowdown = ranks.iter().map(|s| s.slowdown).sum::<f64>() / ranks.len() as f64;
             steps.push(ms(wall), slowdown);
+            // An overhead sample is the step plus its bookkeeping.
             let collect = traced && (i + batch) % 2 == 1;
+            let b = Instant::now();
             if collect {
                 let profiles: Vec<&Profile> = ranks.iter().map(|s| &s.profile).collect();
                 loops.add_step(&profiles, wall);
                 comm.add(&ranks, 1);
-                collected.push(ms(wall));
+                collected.push(ms(wall + b.elapsed().as_secs_f64()));
             } else if traced {
-                plain.push(ms(wall));
+                plain.push(ms(wall + b.elapsed().as_secs_f64()));
             }
         }
         r.check(match &out.results[0].3 {
@@ -278,7 +283,7 @@ fn acoustic(seconds: f64, traced: bool, roof: &Roof) -> Report {
     let (mut setup, mut steps) = (OpTimes::default(), OpTimes::default());
     let mut cal = Calibrator::new();
     let one = acoustic_cfg(1);
-    for _ in 0..3 {
+    for _ in 0..ACOUSTIC_SETUPS {
         let slowdown = cal.slowdown();
         let start = Instant::now();
         Universe::run(RANKS, |c| {
@@ -312,7 +317,9 @@ fn acoustic(seconds: f64, traced: bool, roof: &Roof) -> Report {
         let wall = ranks.iter().map(|s| s.wall_s).fold(0.0, f64::max);
         let step_ms = ms(wall) / ACOUSTIC_STEPS as f64;
         steps.push(step_ms, slowdown);
+        // An overhead sample is the batch plus its bookkeeping, per step.
         let collect = traced && batch % 2 == 1;
+        let b = Instant::now();
         if collect {
             let split: Vec<Profile> = ranks
                 .iter()
@@ -321,9 +328,9 @@ fn acoustic(seconds: f64, traced: bool, roof: &Roof) -> Report {
             let profiles: Vec<&Profile> = split.iter().collect();
             loops.add_step(&profiles, wall / ACOUSTIC_STEPS as f64);
             comm.add(&ranks, ACOUSTIC_STEPS);
-            collected.push(step_ms);
+            collected.push(ms(wall + b.elapsed().as_secs_f64()) / ACOUSTIC_STEPS as f64);
         } else if traced {
-            plain.push(step_ms);
+            plain.push(ms(wall + b.elapsed().as_secs_f64()) / ACOUSTIC_STEPS as f64);
         }
         r.check(match &out.results[0].1 {
             Some(g) if g.iter().all(|x| x.is_finite()) => {

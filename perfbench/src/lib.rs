@@ -2,8 +2,8 @@
 //!
 //! Six workloads, each run in its own process by `run.py`:
 //!
-//! * `clover2d-dram`, `clover3d-dram`, `mgcfd` — single-threaded apps,
-//!   the CloverLeaf ones larger than the last-level cache ([`apps`]);
+//! * `clover2d-dram`, `clover3d-dram`, `mgcfd` — single-threaded apps
+//!   larger than the last-level cache ([`apps`]);
 //! * `clover2d-halo`, `acoustic-halo` — two-rank `shmpi` universes whose
 //!   per-rank working sets fit in cache ([`halo`]);
 //! * `serve-zipf` — an in-process `bwb-serve` under a closed loop of two
@@ -92,8 +92,8 @@ impl OpTimes {
 ///
 /// App steps repeat identical work, so their `op_ms` and `setup_s` are
 /// medians divided by the host slowdown ([`roof::Calibrator`]):
-/// `scaled`. Requests differ, and the calibration did not track serve's
-/// latency, so serve's are medians as measured. The unscaled median and
+/// `scaled`. The calibration tracked neither MG-CFD's V-cycle nor
+/// serve's latency, so theirs are medians as measured. The unscaled median and
 /// 90th percentile of every workload go to traced runs.
 pub fn op_metrics(r: &mut Report, ops: &OpTimes, setup: &OpTimes, scaled: bool) {
     let n = ops.raw.len();
@@ -115,7 +115,9 @@ pub fn op_metrics(r: &mut Report, ops: &OpTimes, setup: &OpTimes, scaled: bool) 
 }
 
 /// `trace.overhead_pct`: how much slower the operations that collected
-/// per-layer data ran than the ones that did not, in the same run.
+/// per-layer data ran than the ones that did not, in the same run. Each
+/// sample spans an op and the benchmark's bookkeeping after it, so the
+/// collected ones include the cost of collection.
 pub fn overhead(r: &mut Report, plain: &Samples, collected: &Samples) {
     let (p, c) = (plain.median(), collected.median());
     let pct = if p > 0.0 { 100.0 * (c / p - 1.0) } else { 0.0 };

@@ -1,7 +1,7 @@
 //! Command line of the benchmark binary; `run.py` drives it.
 //!
 //! ```text
-//! bwb-perfbench roof [--reps N]
+//! bwb-perfbench roof
 //! bwb-perfbench run --workload W --seed N --seconds S --trace 0|1 \
 //!                   --roof-1t GBS --roof-2t GBS
 //! ```
@@ -28,10 +28,7 @@ fn num<T: std::str::FromStr>(args: &[String], name: &str) -> Result<T, String> {
 
 fn main_inner(args: &[String]) -> Result<String, String> {
     match args.first().map(String::as_str) {
-        Some("roof") => {
-            let reps = num(args, "--reps").unwrap_or(4);
-            Ok(roof::measure(reps).to_json())
-        }
+        Some("roof") => Ok(roof::measure().to_json()),
         Some("run") => {
             let name = arg(args, "--workload")?;
             let w = Workload::parse(name).ok_or_else(|| format!("unknown workload '{name}'"))?;

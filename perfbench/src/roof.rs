@@ -13,6 +13,9 @@ const FALLBACK_LLC_BYTES: usize = 32 << 20;
 /// Each STREAM array is at least this many times the last-level cache.
 pub const LLC_MULTIPLE: usize = 4;
 
+/// Timed repetitions per STREAM kernel; the best is kept.
+const ROOF_REPS: usize = 4;
+
 /// Measured roof of this host.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roof {
@@ -82,17 +85,18 @@ pub fn llc_bytes() -> Option<usize> {
     None
 }
 
-/// Best-of-`reps` bandwidth of kernel `k` on `s`, GB/s.
-fn best_gbs(s: &mut BabelStream, k: Kernel, reps: usize) -> f64 {
-    (0..reps)
+/// Best-of-[`ROOF_REPS`] bandwidth of kernel `k` on `s`, GB/s.
+fn best_gbs(s: &mut BabelStream, k: Kernel) -> f64 {
+    (0..ROOF_REPS)
         .map(|_| s.run_kernel(k).bandwidth_gbs)
         .fold(0.0, f64::max)
 }
 
-/// Measure the roof. `reps` timed repetitions per kernel; the best is
-/// kept (BabelStream's convention: the roof is what the host can reach).
-/// The two-thread figures run on the `rayon` pool, sized by the caller.
-pub fn measure(reps: usize) -> Roof {
+/// Measure the roof: the best of [`ROOF_REPS`] timed repetitions per
+/// kernel (BabelStream's convention: the roof is what the host can
+/// reach). The two-thread figures run on the `rayon` pool, sized by the
+/// caller.
+pub fn measure() -> Roof {
     let (llc, llc_measured) = match llc_bytes() {
         Some(b) => (b, true),
         None => (FALLBACK_LLC_BYTES, false),
@@ -102,14 +106,14 @@ pub fn measure(reps: usize) -> Roof {
         let mut s = BabelStream::new(n, Par::Serial);
         s.run_kernel(Kernel::Triad); // first pass: page-table warm-up
         (
-            best_gbs(&mut s, Kernel::Triad, reps),
-            best_gbs(&mut s, Kernel::Copy, reps),
+            best_gbs(&mut s, Kernel::Triad),
+            best_gbs(&mut s, Kernel::Copy),
         )
     };
     let triad_gbs_2t = {
         let mut s = BabelStream::new(n, Par::Rayon);
         s.run_kernel(Kernel::Triad);
-        best_gbs(&mut s, Kernel::Triad, reps)
+        best_gbs(&mut s, Kernel::Triad)
     };
     Roof {
         llc_bytes: llc,
@@ -147,7 +151,9 @@ const CAL_REFERENCE_MS: f64 = 0.3;
 /// dependent FP chain do not follow those phases. This L2-resident 5-point
 /// stencil does: CloverLeaf cycle ÷ stencil time stayed within ±5% over
 /// 90 s while the cycle alone moved by ±25%. The kernel belongs to the
-/// benchmark, so no change to the program moves it.
+/// benchmark, and an untimed sweep first brings both grids into L2, so
+/// the reading does not depend on what the step before left in the
+/// caches.
 pub struct Calibrator {
     /// Input then output grid, [`CAL_GAP`] apart.
     buf: Vec<f64>,
@@ -166,20 +172,25 @@ impl Calibrator {
     /// Run the stencil once: its time ÷ its reference time. 1 means the
     /// host runs at its typical speed; 1.2 means 20% slower.
     pub fn slowdown(&mut self) -> f64 {
-        let m = CAL_EDGE;
-        let (a, out) = self.buf.split_at_mut(CAL_GAP);
+        self.sweep();
         let t = std::time::Instant::now();
         for _ in 0..CAL_SWEEPS {
-            let a = std::hint::black_box(&*a);
-            for j in 1..m - 1 {
-                for i in 1..m - 1 {
-                    let c = j * m + i;
-                    out[c] = 0.5 * a[c] + 0.125 * (a[c - 1] + a[c + 1] + a[c - m] + a[c + m]);
-                }
-            }
-            std::hint::black_box(&*out);
+            self.sweep();
         }
         t.elapsed().as_secs_f64() * 1e3 / CAL_REFERENCE_MS
+    }
+
+    fn sweep(&mut self) {
+        let m = CAL_EDGE;
+        let (a, out) = self.buf.split_at_mut(CAL_GAP);
+        let a = std::hint::black_box(&*a);
+        for j in 1..m - 1 {
+            for i in 1..m - 1 {
+                let c = j * m + i;
+                out[c] = 0.5 * a[c] + 0.125 * (a[c - 1] + a[c + 1] + a[c - m] + a[c + m]);
+            }
+        }
+        std::hint::black_box(&*out);
     }
 }
 

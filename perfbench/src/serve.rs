@@ -3,8 +3,9 @@
 //! its next job only after the reply to the previous one arrives, as a
 //! caller blocking on a benchmark result does.
 //!
-//! Request bodies come from the workload seed: a job kind by fixed
-//! weights, then a Zipf draw over that kind's catalog. The catalogs are
+//! Request bodies come from the workload seed: a job kind by the shares
+//! of the repository's own load generator ([`kind_shares`]), then a draw
+//! under that generator's Zipf skew over the kind's catalog. The catalogs are
 //! large enough (about 6k distinct jobs) that cache misses continue to
 //! the end of a run, so one run exercises both the read path (http,
 //! parse, key, cache) and the write path (flight, shard, execute, insert).
@@ -14,6 +15,7 @@ use bwb_machine::ShardPolicy;
 use bwb_serve::http;
 use bwb_serve::jobs::{ExecContext, Job, TraceStore};
 use bwb_serve::key::machine_fingerprint;
+use bwb_serve::loadgen::{self, zipf_cdf, LoadConfig};
 use bwb_serve::server::{Server, ServerConfig, ServerState};
 use bwb_serve::{fnv1a64, ResultCache, ShardPool};
 use bwb_trace::json::{self, Json};
@@ -27,19 +29,50 @@ pub const CLIENTS: usize = 2;
 /// Requests per client over which the exact distinct-key count is taken.
 pub const KEY_PREFIX: usize = 10_000;
 /// Server set-ups timed per run; the last one serves the load.
-const SETUPS: usize = 25;
+const SETUPS: usize = 200;
 /// Distinct missed jobs per kind re-executed directly in traced runs.
 const EXECUTE_SAMPLES: usize = 4;
 
-/// Job kinds of the mix: share of requests and the Zipf skew of draws
-/// within the kind's catalog (0 = uniform).
-pub const KINDS: [(&str, f64, f64); 5] = [
-    ("benchmark", 0.70, 0.8),
-    ("ranked", 0.10, 0.8),
-    ("figure", 0.08, 1.1),
-    ("analyze", 0.08, 1.1),
-    ("trace", 0.04, 0.0),
-];
+/// Job kinds of the mix; `ranked` is a `benchmark` job with `ranks`.
+pub const KINDS: [&str; 5] = ["benchmark", "ranked", "figure", "analyze", "trace"];
+
+/// Share of `analyze` requests. The repository's load generator sends
+/// none, so this share is an assumption, not derived from any traffic.
+const ANALYZE_SHARE: f64 = 0.08;
+
+/// Index in [`KINDS`] of a job body's kind.
+fn kind_of(body: &str) -> Option<usize> {
+    let j = json::parse(body).ok()?;
+    let kind = match j.get("kind")?.as_str()? {
+        "benchmark" if j.get("ranks").is_some() => "ranked",
+        k => k,
+    };
+    KINDS.iter().position(|&k| k == kind)
+}
+
+fn kind_index(name: &str) -> usize {
+    KINDS
+        .iter()
+        .position(|&k| k == name)
+        .expect("a kind of the mix")
+}
+
+/// Request share of each kind in [`KINDS`]: its share of
+/// `loadgen::default_catalog` drawn under `LoadConfig::default().zipf_s`,
+/// scaled by 1 − [`ANALYZE_SHARE`]; `analyze` gets [`ANALYZE_SHARE`].
+pub fn kind_shares() -> [f64; 5] {
+    let jobs = loadgen::default_catalog();
+    let cdf = zipf_cdf(jobs.len(), LoadConfig::default().zipf_s);
+    let mut shares = [0.0; 5];
+    let mut below = 0.0;
+    for (body, c) in jobs.iter().zip(cdf) {
+        let k = kind_of(body).expect("loadgen's catalog holds known kinds");
+        shares[k] += (c - below) * (1.0 - ANALYZE_SHARE);
+        below = c;
+    }
+    shares[kind_index("analyze")] += ANALYZE_SHARE;
+    shares
+}
 
 /// splitmix64: a small seeded generator, so the request sequence depends
 /// on nothing but the seed.
@@ -127,25 +160,13 @@ const ANALYZE_APPS: [&str; 8] = [
 ];
 
 /// Traced jobs: a small catalog, requested in full before timing (see
-/// [`run`]) and drawn uniformly during it.
+/// [`run`]).
 const TRACE_APPS: [(&str, [usize; 4], [usize; 4]); 4] = [
     ("cloverleaf2d", [16, 24, 32, 40], [1, 2, 3, 4]),
     ("acoustic", [12, 16, 20, 24], [1, 2, 3, 4]),
     ("mgcfd", [9, 13, 17, 25], [1, 2, 3, 4]),
     ("miniweather", [16, 20, 24, 32], [1, 2, 3, 4]),
 ];
-
-fn zipf_cdf(n: usize, s: f64) -> Vec<f64> {
-    let w: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
-    let total: f64 = w.iter().sum();
-    let mut acc = 0.0;
-    w.iter()
-        .map(|x| {
-            acc += x / total;
-            acc
-        })
-        .collect()
-}
 
 fn draw(cdf: &[f64], u: f64) -> usize {
     cdf.partition_point(|&c| c < u).min(cdf.len() - 1)
@@ -201,11 +222,11 @@ impl Catalog {
                 }
             }
         }
+        let skew = LoadConfig::default().zipf_s;
         let mut shuffle = Rng::new(0x5eed_ca7a_1095);
-        let kinds = KINDS
-            .iter()
-            .zip([bench, ranked, figure, analyze, trace])
-            .map(|(&(_, _, skew), mut bodies)| {
+        let kinds = [bench, ranked, figure, analyze, trace]
+            .into_iter()
+            .map(|mut bodies| {
                 for i in (1..bodies.len()).rev() {
                     bodies.swap(i, shuffle.below(i + 1));
                 }
@@ -216,9 +237,9 @@ impl Catalog {
             })
             .collect();
         let mut acc = 0.0;
-        let kind_cdf = KINDS
+        let kind_cdf = kind_shares()
             .iter()
-            .map(|&(_, w, _)| {
+            .map(|w| {
                 acc += w;
                 acc
             })
@@ -289,6 +310,9 @@ struct Sample {
     kind: usize,
     body: usize,
     latency_ms: f64,
+    /// The request plus the client's recording of it: what
+    /// `trace.overhead_pct` compares.
+    span_ms: f64,
     disp: Disposition,
     key: u64,
     payload_hash: u64,
@@ -318,6 +342,7 @@ fn send(cat: &Catalog, addr: &str, kind: usize, idx: usize, keep: bool) -> Sampl
         kind,
         body: idx,
         latency_ms,
+        span_ms: 0.0,
         disp: Disposition::Failed,
         key: 0,
         payload_hash: 0,
@@ -349,6 +374,7 @@ fn send(cat: &Catalog, addr: &str, kind: usize, idx: usize, keep: bool) -> Sampl
         Ok(r) => s.error = Some(format!("HTTP {} for {text}: {}", r.status, r.body)),
         Err(e) => s.error = Some(format!("request failed for {text}: {e}")),
     }
+    s.span_ms = ms(t.elapsed().as_secs_f64());
     s
 }
 
@@ -477,10 +503,7 @@ pub fn run(seed: u64, seconds: f64, traced: bool) -> Report {
     // trace catalog is therefore requested once, by one client, before
     // timing: its leak then counts in `peak_rss_mb` at the same size on
     // every run, and the load's trace requests hit the cache.
-    let trace_kind = KINDS
-        .iter()
-        .position(|k| k.0 == "trace")
-        .expect("trace kind");
+    let trace_kind = kind_index("trace");
     let warm: Vec<Sample> = (0..cat.kinds[trace_kind].bodies.len())
         .map(|i| send(&cat, &server.addr, trace_kind, i, traced))
         .collect();
@@ -536,9 +559,9 @@ pub fn run(seed: u64, seconds: f64, traced: bool) -> Report {
         }
         if traced {
             if s.collected {
-                collected.push(s.latency_ms);
+                collected.push(s.span_ms);
             } else {
-                plain.push(s.latency_ms);
+                plain.push(s.span_ms);
             }
         }
     }
@@ -721,7 +744,7 @@ fn traced_layers(
         shards: Arc::new(ShardPool::new(platform, 2, ShardPolicy::OnePerNuma)),
         traces: Arc::new(TraceStore::new()),
     };
-    for (k, &(kind, _, _)) in KINDS.iter().enumerate() {
+    for (k, kind) in KINDS.iter().enumerate() {
         let mut picked = BTreeSet::new();
         let jobs: Vec<Job> = warm
             .iter()

@@ -6,7 +6,7 @@
 //! `cargo test --release` (debug builds skip them).
 
 use bwb_perfbench::roof::Roof;
-use bwb_perfbench::serve::{distinct_keys, Catalog, CLIENTS, KEY_PREFIX};
+use bwb_perfbench::serve::{distinct_keys, kind_shares, Catalog, CLIENTS, KEY_PREFIX};
 use bwb_perfbench::stats::Report;
 use bwb_perfbench::{run, Workload};
 use std::collections::BTreeSet;
@@ -122,4 +122,14 @@ fn serve_catalog_jobs_all_parse() {
             bwb_perfbench::serve::key_of(body, "m").unwrap_or_else(|e| panic!("{body}: {e}"));
         }
     }
+}
+
+#[test]
+fn serve_kind_shares_cover_every_kind() {
+    let shares = kind_shares();
+    assert!(shares.iter().all(|&w| w > 0.0), "{shares:?}");
+    assert!(
+        (shares.iter().sum::<f64>() - 1.0).abs() < 1e-12,
+        "{shares:?}"
+    );
 }
