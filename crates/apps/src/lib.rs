@@ -34,10 +34,9 @@ pub mod opensbli;
 pub mod volna;
 
 use bwb_ops::Profile;
-use serde::{Deserialize, Serialize};
 
 /// Identifies one of the paper's applications (Figure 3–8 rows/columns).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AppId {
     MiniBude,
     CloverLeaf2D,

@@ -10,10 +10,8 @@
 //! [`LatencyProfile`] stores those four distances; [`CommDistance`]
 //! classifies a pair of cores given the topology.
 
-use serde::{Deserialize, Serialize};
-
 /// Topological distance classes between two hardware threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CommDistance {
     /// Same physical core, sibling SMT threads.
     Hyperthread,
@@ -50,7 +48,7 @@ impl CommDistance {
 /// [`crate::platforms`] and reproduce the magnitudes of Figure 2: no
 /// significant improvement on Xeon MAX over Ice Lake (slight regression in
 /// places), and a 1.6× worse cross-socket latency on the virtualized EPYC.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyProfile {
     /// Sibling-hyperthread latency; `None` when SMT is off (EPYC 7V73X).
     pub hyperthread_ns: Option<f64>,

@@ -6,10 +6,8 @@
 //! as an ordered list of [`CacheLevel`]s plus one [`MainMemory`], each with a
 //! capacity, a sustained streaming bandwidth, and a load-to-use latency.
 
-use serde::{Deserialize, Serialize};
-
 /// The physical technology backing a platform's main memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryKind {
     /// On-package High Bandwidth Memory (Xeon MAX 9480 in HBM-only mode,
     /// A100's HBM2e).
@@ -39,7 +37,7 @@ impl MemoryKind {
 }
 
 /// Whether a cache level is private to a core or shared.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheScope {
     /// Private to one physical core (L1/L2 on all three CPUs).
     PerCore,
@@ -51,7 +49,7 @@ pub enum CacheScope {
 }
 
 /// One level of the cache hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheLevel {
     /// 1 for L1d, 2 for L2, 3 for L3.
     pub level: u8,
@@ -83,7 +81,7 @@ impl CacheLevel {
 }
 
 /// Main memory description.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MainMemory {
     pub kind: MemoryKind,
     /// Total capacity in GiB across the machine.

@@ -4,11 +4,10 @@
 use crate::latency::LatencyProfile;
 use crate::memory::{CacheLevel, MainMemory};
 use crate::topology::CpuTopology;
-use serde::{Deserialize, Serialize};
 
 /// Which of the paper's platforms this descriptor models (plus `Custom` for
 /// user-defined what-if machines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlatformKind {
     XeonMax9480,
     Xeon8360Y,
@@ -34,7 +33,7 @@ impl PlatformKind {
 /// All derived quantities (peak FLOPS, flop/byte ratio, concurrency-limited
 /// bandwidth) are computed from first principles in methods so that
 /// "what-if" machines behave consistently.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     pub kind: PlatformKind,
     pub name: String,

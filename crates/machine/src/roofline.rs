@@ -7,10 +7,9 @@
 //! makes that statement executable.
 
 use crate::platform::Platform;
-use serde::{Deserialize, Serialize};
 
 /// The binding resource for a kernel on a platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RooflineRegime {
     /// Attainment limited by memory bandwidth.
     BandwidthBound,
@@ -19,7 +18,7 @@ pub enum RooflineRegime {
 }
 
 /// One kernel placed on the roofline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RooflinePoint {
     /// Arithmetic intensity in FLOP per byte of main-memory traffic.
     pub intensity_flop_per_byte: f64,
@@ -32,7 +31,7 @@ pub struct RooflinePoint {
 }
 
 /// Roofline for one platform and precision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
     /// Peak arithmetic, GFLOP/s.
     pub peak_gflops: f64,

@@ -9,11 +9,10 @@
 //! latency) is known.
 
 use crate::latency::CommDistance;
-use serde::{Deserialize, Serialize};
 
 /// Identifies one hardware thread: `(socket, numa_in_socket, core_in_numa,
 /// smt_thread)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CoreId {
     pub socket: u16,
     pub numa: u16,
@@ -37,7 +36,7 @@ impl CoreId {
 }
 
 /// Machine topology counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuTopology {
     pub sockets: u16,
     pub numa_per_socket: u16,
@@ -47,7 +46,7 @@ pub struct CpuTopology {
 }
 
 /// How ranks (or threads) are assigned to hardware threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlacementPolicy {
     /// One rank per physical core (HT unused by ranks). Pure-MPI w/o HT.
     OnePerCore,
@@ -95,7 +94,7 @@ impl PlacementPolicy {
 }
 
 /// A computed placement: rank → hardware thread.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankPlacement {
     pub policy: PlacementPolicy,
     pub assignments: Vec<CoreId>,
@@ -144,7 +143,7 @@ impl RankPlacement {
 /// `bwb-serve` worker pool). Mirrors the two placements the Aurora
 /// Xeon-Max study exercises per node: one worker per NUMA domain vs
 /// workers packed onto contiguous cores from one end of the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShardPolicy {
     /// Shard `i` owns NUMA domains `i, i + n, i + 2n, …`: every shard's
     /// ranks stay inside its own domains, shards spread across the machine.

@@ -13,10 +13,9 @@
 //! Figure 1 does.
 
 use bwb_machine::{CacheScope, Platform};
-use serde::{Deserialize, Serialize};
 
 /// Which part of the machine runs the benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MachineSubset {
     /// Threads confined to a single NUMA domain (and its memory).
     OneNuma,
@@ -43,7 +42,7 @@ impl MachineSubset {
 }
 
 /// One point of a bandwidth curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthCurve {
     pub working_set_bytes: u64,
     pub bandwidth_gbs: f64,

@@ -16,11 +16,10 @@ use crate::color::{BlockColoring, Coloring};
 use crate::set::DatU;
 use bwb_ops::Profile;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Unstructured execution backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecModeU {
     /// Sequential over elements (pure MPI per-rank execution).
     Serial,

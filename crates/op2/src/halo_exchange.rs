@@ -16,7 +16,6 @@
 
 use crate::set::{DatU, Map};
 use bwb_shmpi::Comm;
-use serde::{Deserialize, Serialize};
 
 /// Tag space for unstructured halo traffic (public for commcheck and
 /// tag-discipline tests). Forward (gather) exchanges use `UHALO_TAG`;
@@ -28,7 +27,7 @@ pub const UHALO_TAG: u32 = 0x5000_0000;
 pub const UHALO_SCATTER_TAG: u32 = UHALO_TAG + 1;
 
 /// One rank's exchange lists for a (map, partition) pair.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankHalo {
     pub rank: usize,
     pub nparts: usize,

@@ -7,11 +7,10 @@
 //! drivers in [`crate::exec`] feed exactly those estimates into a
 //! [`Profile`].
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Accumulated statistics for one named loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopRecord {
     pub name: String,
     /// Invocations.
@@ -54,7 +53,7 @@ impl LoopRecord {
 
 /// A run's complete loop profile, keyed by loop name (insertion-stable via
 /// ordered map for reproducible reports).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Profile {
     loops: BTreeMap<String, LoopRecord>,
 }

@@ -29,7 +29,6 @@ use crate::config::{Compiler, Parallelization, RunConfig, Zmm};
 use bwb_apps::characterize::AppCharacter;
 use bwb_apps::AppId;
 use bwb_machine::Platform;
-use serde::{Deserialize, Serialize};
 
 /// Calibration constants. Each is a *mechanism strength*, not a figure
 /// output; figures emerge from their interaction with the measured app
@@ -115,7 +114,7 @@ pub struct ModelInput<'a> {
 }
 
 /// Decomposed prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
     pub seconds: f64,
     pub t_bandwidth: f64,

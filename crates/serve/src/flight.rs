@@ -4,25 +4,34 @@
 //!
 //! * **Single-flight**: identical in-flight jobs (same cache key) execute
 //!   once. The first submitter becomes the *leader* and runs the work; any
-//!   duplicate arriving before completion becomes a *follower* and awaits
-//!   the leader's result over a oneshot channel. Followers never consume
-//!   an admission slot — coalescing happens before admission, so a burst
-//!   of identical requests costs one queue position, not N.
-//! * **Admission**: heavy-job concurrency is bounded by a FIFO-fair
-//!   semaphore. When the semaphore's wait queue is full, new leaders are
-//!   rejected (HTTP 429 upstream) — and the rejection propagates to any
-//!   followers that joined the losing flight, since they would have been
-//!   rejected too.
+//!   duplicate arriving before completion becomes a *follower* and blocks
+//!   on the flight's slot until the leader publishes its payload there.
+//!   Followers never consume an admission slot — coalescing happens before
+//!   admission, so a burst of identical requests costs one queue position,
+//!   not N.
+//! * **Admission**: heavy-job concurrency is bounded by a FIFO ticket
+//!   gate. Joining, admitting a leader, queueing it behind earlier
+//!   arrivals, or rejecting it when the queue is full (HTTP 429 upstream)
+//!   is one decision under one lock, so a rejected leader never registers
+//!   a flight that duplicates could join.
 //!
-//! The leader runs its work *synchronously on its own calling thread*
-//! (connection threads are cheap; the async runtime only orchestrates
-//! waiting), so heavy compute never occupies an executor worker.
+//! Nothing here is async. The leader runs its work on its own calling
+//! thread, and every wait is a condvar park: followers on the key's slot,
+//! queued leaders on the gate. A drop guard retires the flight on every
+//! exit, so a leader whose work panics still frees its admission slot and
+//! wakes its followers with an error.
+
+// Under `--cfg loom` the primitives come from the vendored loom DPOR model
+// checker, so the slot and gate protocols are verified across all bounded
+// interleavings (see tests/loom_flight.rs).
+#[cfg(loom)]
+use loom::sync::{Condvar, Mutex};
+#[cfg(not(loom))]
+use parking_lot::{Condvar, Mutex};
 
 use crate::key::CacheKey;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use tokio::sync::{oneshot, Semaphore};
+use std::sync::Arc;
 
 type Payload = Result<String, String>;
 
@@ -35,9 +44,9 @@ pub struct FlightStats {
     pub coalesced: u64,
     /// Submissions rejected because the admission queue was full.
     pub rejected: u64,
-    /// Leaders currently holding an admission permit.
+    /// Leaders currently holding an admission slot.
     pub running_now: usize,
-    /// Leaders currently waiting for a permit.
+    /// Leaders currently waiting for an admission slot.
     pub queued_now: usize,
 }
 
@@ -56,13 +65,76 @@ pub struct FlightOutcome {
     pub coalesced: bool,
 }
 
+/// One in-flight key: the leader publishes here, followers park on `done`.
+#[derive(Default)]
+struct Slot {
+    payload: Mutex<Option<Payload>>,
+    done: Condvar,
+}
+
+impl Slot {
+    fn publish(&self, payload: Payload) {
+        *self.payload.lock() = Some(payload);
+        self.done.notify_all();
+    }
+
+    fn wait(&self) -> Payload {
+        let mut payload = self.payload.lock();
+        while payload.is_none() {
+            self.done.wait(&mut payload);
+        }
+        payload.clone().expect("published")
+    }
+}
+
+/// Everything a submission decides on, under one lock: the in-flight keys,
+/// the admission gate, and the counters. Queued leaders hold tickets and
+/// are admitted in ticket order, each once a slot is free.
+#[derive(Default)]
+struct State {
+    /// In-flight keys: each flight's slot and its follower count.
+    flights: HashMap<u64, (Arc<Slot>, usize)>,
+    running: usize,
+    queued: usize,
+    next_ticket: u64,
+    serving: u64,
+    executed: u64,
+    coalesced: u64,
+    rejected: u64,
+}
+
 pub struct SingleFlight {
-    sem: Arc<Semaphore>,
+    max_concurrent: usize,
     max_queue: usize,
-    flights: Mutex<HashMap<u64, Vec<oneshot::Sender<Payload>>>>,
-    executed: AtomicU64,
-    coalesced: AtomicU64,
-    rejected: AtomicU64,
+    state: Mutex<State>,
+    /// Signalled when an admission slot frees or a queued leader is served.
+    turn: Condvar,
+}
+
+/// An admitted leader's hold on its flight. Dropping it — on return or
+/// when the work unwinds — frees the admission slot and retires the flight
+/// with `payload`, or with an error if the work never produced one.
+struct Lead<'a> {
+    sf: &'a SingleFlight,
+    key: u64,
+    payload: Option<Payload>,
+}
+
+impl Drop for Lead<'_> {
+    fn drop(&mut self) {
+        let flight = {
+            let mut st = self.sf.state.lock();
+            st.running -= 1;
+            st.flights.remove(&self.key)
+        };
+        self.sf.turn.notify_all();
+        if let Some((slot, followers)) = flight {
+            if followers > 0 {
+                let panicked = || Err("coalesced leader's job panicked".into());
+                slot.publish(self.payload.take().unwrap_or_else(panicked));
+            }
+        }
+    }
 }
 
 impl SingleFlight {
@@ -71,95 +143,86 @@ impl SingleFlight {
     pub fn new(max_concurrent: usize, max_queue: usize) -> SingleFlight {
         assert!(max_concurrent > 0, "need at least one admission slot");
         SingleFlight {
-            sem: Arc::new(Semaphore::new(max_concurrent)),
+            max_concurrent,
             max_queue,
-            flights: Mutex::new(HashMap::new()),
-            executed: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
+            state: Mutex::default(),
+            turn: Condvar::default(),
         }
     }
 
     /// Followers currently joined to `key`'s flight (None = no flight).
     /// Exposed for tests and `/stats`.
     pub fn waiters_for(&self, key: CacheKey) -> Option<usize> {
-        self.flights.lock().unwrap().get(&key.0).map(Vec::len)
+        let st = self.state.lock();
+        st.flights.get(&key.0).map(|&(_, followers)| followers)
     }
 
     pub fn stats(&self) -> FlightStats {
+        let st = self.state.lock();
         FlightStats {
-            executed: self.executed.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            running_now: self.sem.initial_permits() - self.sem.available_permits(),
-            queued_now: self.sem.waiters(),
+            executed: st.executed,
+            coalesced: st.coalesced,
+            rejected: st.rejected,
+            running_now: st.running,
+            queued_now: st.queued,
         }
     }
 
     /// Submit work under `key`. Exactly one of the concurrent submitters
     /// with the same key runs `work`; the rest receive its payload.
     ///
-    /// `work` runs on the calling thread after async admission.
-    pub async fn run_or_join<F>(&self, key: CacheKey, work: F) -> Result<FlightOutcome, QueueFull>
+    /// Blocks while queued for admission or joined to another's flight;
+    /// `work` runs on the calling thread once admitted.
+    pub fn run_or_join<F>(&self, key: CacheKey, work: F) -> Result<FlightOutcome, QueueFull>
     where
         F: FnOnce() -> Payload,
     {
+        let mut st = self.state.lock();
         // Join an existing flight if one is up.
-        let rx = {
-            let mut flights = self.flights.lock().unwrap();
-            match flights.get_mut(&key.0) {
-                Some(waiters) => {
-                    let (tx, rx) = oneshot::channel();
-                    waiters.push(tx);
-                    Some(rx)
-                }
-                None => {
-                    flights.insert(key.0, Vec::new());
-                    None
-                }
-            }
-        };
-        if let Some(rx) = rx {
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-            let payload = match rx.await {
-                Ok(p) => p,
-                // Leader dropped without resolving (rejected): mirror it.
-                Err(_) => Err("coalesced leader was rejected by admission".into()),
-            };
+        if let Some((slot, followers)) = st.flights.get_mut(&key.0) {
+            *followers += 1;
+            let slot = Arc::clone(slot);
+            st.coalesced += 1;
+            drop(st);
             return Ok(FlightOutcome {
-                payload,
+                payload: slot.wait(),
                 coalesced: true,
             });
         }
 
-        // Leader path: bounded-queue admission.
-        let permit = match self.sem.try_acquire_owned() {
-            Some(p) => p,
-            None if self.sem.waiters() >= self.max_queue => {
-                // Abandon the flight; followers see the drop as rejection.
-                self.flights.lock().unwrap().remove(&key.0);
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(QueueFull {
-                    retry_after_secs: 1,
-                });
-            }
-            None => self.sem.acquire_owned().await,
-        };
-
-        self.executed.fetch_add(1, Ordering::Relaxed);
-        let payload = work();
-        drop(permit);
-
-        // Resolve the flight: everyone who joined gets the payload.
-        let waiters = self
-            .flights
-            .lock()
-            .unwrap()
-            .remove(&key.0)
-            .unwrap_or_default();
-        for tx in waiters {
-            let _ = tx.send(payload.clone());
+        // Leader path: admit now, queue behind earlier arrivals, or reject.
+        let admit_now = st.queued == 0 && st.running < self.max_concurrent;
+        if !admit_now && st.queued >= self.max_queue {
+            st.rejected += 1;
+            return Err(QueueFull {
+                retry_after_secs: 1,
+            });
         }
+        // Registered before queueing, so duplicates coalesce while it waits.
+        st.flights.insert(key.0, (Arc::default(), 0));
+        if !admit_now {
+            let ticket = st.next_ticket;
+            st.next_ticket += 1;
+            st.queued += 1;
+            while st.serving != ticket || st.running >= self.max_concurrent {
+                self.turn.wait(&mut st);
+            }
+            st.serving += 1;
+            st.queued -= 1;
+            // Several slots may have freed at once: let the next ticket look.
+            self.turn.notify_all();
+        }
+        st.running += 1;
+        st.executed += 1;
+        drop(st);
+
+        let mut lead = Lead {
+            sf: self,
+            key: key.0,
+            payload: None,
+        };
+        let payload = work();
+        lead.payload = Some(payload.clone());
         Ok(FlightOutcome {
             payload,
             coalesced: false,
@@ -170,54 +233,49 @@ impl SingleFlight {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread;
     use std::time::Duration;
-    use tokio::runtime::Runtime;
+
+    fn poll_until(done: impl Fn() -> bool) {
+        while !done() {
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
 
     #[test]
     fn identical_concurrent_jobs_execute_once_with_identical_payloads() {
-        let rt = Runtime::with_workers(4);
-        let sf = Arc::new(SingleFlight::new(2, 4));
-        let runs = Arc::new(AtomicUsize::new(0));
+        let sf = SingleFlight::new(2, 4);
+        let runs = AtomicUsize::new(0);
         let key = CacheKey(7);
 
         // The leader's work blocks until the follower has provably joined
         // the flight, so coalescing is deterministic, not timing-dependent.
         let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
-        let leader = {
-            let (sf, runs) = (Arc::clone(&sf), Arc::clone(&runs));
-            rt.spawn(async move {
-                sf.run_or_join(key, move || {
+        let (a, b) = thread::scope(|s| {
+            let (sf, runs) = (&sf, &runs);
+            let leader = s.spawn(move || {
+                sf.run_or_join(key, || {
                     runs.fetch_add(1, Ordering::SeqCst);
                     gate_rx.recv().unwrap();
                     Ok("{\"result\":42}".to_string())
                 })
-                .await
                 .unwrap()
-            })
-        };
-        // Wait until the leader's flight is registered, then join it.
-        while sf.waiters_for(key).is_none() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let follower = {
-            let (sf, runs) = (Arc::clone(&sf), Arc::clone(&runs));
-            rt.spawn(async move {
-                sf.run_or_join(key, move || {
+            });
+            // Wait until the leader's flight is registered, then join it.
+            poll_until(|| sf.waiters_for(key).is_some());
+            let follower = s.spawn(move || {
+                sf.run_or_join(key, || {
                     runs.fetch_add(1, Ordering::SeqCst);
                     Ok("{\"result\":\"should never run\"}".to_string())
                 })
-                .await
                 .unwrap()
-            })
-        };
-        while sf.waiters_for(key) != Some(1) {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        gate_tx.send(()).unwrap();
+            });
+            poll_until(|| sf.waiters_for(key) == Some(1));
+            gate_tx.send(()).unwrap();
+            (leader.join().unwrap(), follower.join().unwrap())
+        });
 
-        let a = rt.block_on(leader).unwrap();
-        let b = rt.block_on(follower).unwrap();
         assert_eq!(runs.load(Ordering::SeqCst), 1, "work ran exactly once");
         assert_eq!(a.payload.as_deref(), b.payload.as_deref());
         assert!(!a.coalesced && b.coalesced);
@@ -228,62 +286,96 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_coalesce() {
-        let rt = Runtime::with_workers(2);
-        let sf = Arc::new(SingleFlight::new(2, 4));
-        let runs = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..4u64)
-            .map(|i| {
-                let (sf, runs) = (Arc::clone(&sf), Arc::clone(&runs));
-                rt.spawn(async move {
-                    sf.run_or_join(CacheKey(i), move || {
-                        runs.fetch_add(1, Ordering::SeqCst);
-                        Ok(format!("{{\"i\":{i}}}"))
+        let sf = SingleFlight::new(2, 4);
+        let runs = AtomicUsize::new(0);
+        thread::scope(|s| {
+            let handles: Vec<_> = (0..4u64)
+                .map(|i| {
+                    let (sf, runs) = (&sf, &runs);
+                    s.spawn(move || {
+                        sf.run_or_join(CacheKey(i), move || {
+                            runs.fetch_add(1, Ordering::SeqCst);
+                            Ok(format!("{{\"i\":{i}}}"))
+                        })
+                        .unwrap()
                     })
-                    .await
-                    .unwrap()
                 })
-            })
-            .collect();
-        for (i, h) in handles.into_iter().enumerate() {
-            let out = rt.block_on(h).unwrap();
-            assert_eq!(out.payload.unwrap(), format!("{{\"i\":{i}}}"));
-            assert!(!out.coalesced);
-        }
+                .collect();
+            for (i, h) in handles.into_iter().enumerate() {
+                let out = h.join().unwrap();
+                assert_eq!(out.payload.unwrap(), format!("{{\"i\":{i}}}"));
+                assert!(!out.coalesced);
+            }
+        });
         assert_eq!(runs.load(Ordering::SeqCst), 4);
     }
 
     #[test]
     fn full_queue_rejects_new_leaders() {
-        let rt = Runtime::with_workers(4);
         // One slot, zero queue: anything beyond the running leader bounces.
-        let sf = Arc::new(SingleFlight::new(1, 0));
+        let sf = SingleFlight::new(1, 0);
         let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
-        let holder = {
-            let sf = Arc::clone(&sf);
-            rt.spawn(async move {
+        thread::scope(|s| {
+            let sf = &sf;
+            let holder = s.spawn(move || {
                 sf.run_or_join(CacheKey(1), move || {
                     gate_rx.recv().unwrap();
                     Ok("held".to_string())
                 })
-                .await
                 .unwrap()
+            });
+            poll_until(|| sf.stats().running_now == 1);
+            let rejected = sf.run_or_join(CacheKey(2), || Ok("no".into()));
+            assert_eq!(
+                rejected.unwrap_err(),
+                QueueFull {
+                    retry_after_secs: 1
+                }
+            );
+            gate_tx.send(()).unwrap();
+            assert_eq!(holder.join().unwrap().payload.unwrap(), "held");
+        });
+        assert_eq!(sf.stats().rejected, 1);
+    }
+
+    #[test]
+    fn panicking_leader_releases_its_key_slot_and_followers() {
+        let sf = Arc::new(SingleFlight::new(1, 0));
+        let key = CacheKey(9);
+        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+        let leader = {
+            let sf = Arc::clone(&sf);
+            thread::spawn(move || {
+                sf.run_or_join(key, || -> Payload {
+                    gate_rx.recv().unwrap();
+                    panic!("job blew up")
+                })
             })
         };
-        while sf.stats().running_now != 1 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let rejected = {
+        poll_until(|| sf.waiters_for(key).is_some());
+        // The follower reports over a channel, so a wedged flight fails
+        // the test instead of hanging it.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let follower = {
             let sf = Arc::clone(&sf);
-            rt.block_on(async move { sf.run_or_join(CacheKey(2), || Ok("no".into())).await })
+            thread::spawn(move || {
+                let _ = done_tx.send(sf.run_or_join(key, || Ok("never".into())).unwrap());
+            })
         };
-        assert_eq!(
-            rejected.unwrap_err(),
-            QueueFull {
-                retry_after_secs: 1
-            }
-        );
+        poll_until(|| sf.waiters_for(key) == Some(1));
         gate_tx.send(()).unwrap();
-        assert_eq!(rt.block_on(holder).unwrap().payload.unwrap(), "held");
-        assert_eq!(sf.stats().rejected, 1);
+        assert!(leader.join().is_err(), "the leader's panic propagates");
+        let outcome = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the follower is woken");
+        follower.join().unwrap();
+
+        assert!(outcome.coalesced);
+        assert!(outcome.payload.is_err(), "follower sees the failure");
+        assert_eq!(sf.waiters_for(key), None, "the key is not wedged");
+        assert_eq!(sf.stats().running_now, 0, "the admission slot came back");
+        let fresh = sf.run_or_join(key, || Ok("again".into())).unwrap();
+        assert_eq!(fresh.payload.as_deref(), Ok("again"));
+        assert!(!fresh.coalesced);
     }
 }

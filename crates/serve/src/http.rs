@@ -6,7 +6,7 @@
 //! matches the one-request-per-job usage pattern of the load generator
 //! and CI smoke tests. No chunked encoding, no keep-alive, no TLS.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 
 /// Cap on request head + body: jobs are small JSON documents.
@@ -30,8 +30,12 @@ impl Request {
     }
 }
 
-/// Read one request from the stream. `Err` strings are protocol-level
-/// (respond 400 and close).
+/// The [`read_request`] error for a client that stalled past the
+/// socket's read timeout (respond 408 and close).
+pub const TIMED_OUT: &str = "request timed out";
+
+/// Read one request from the stream. `Err` strings other than
+/// [`TIMED_OUT`] are protocol-level (respond 400 and close).
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     // Read until the blank line terminating the head.
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
@@ -43,7 +47,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
         if buf.len() > MAX_HEAD_BYTES {
             return Err("request head too large".into());
         }
-        let n = stream.read(&mut chunk).map_err(|e| e.to_string())?;
+        let n = read_chunk(stream, &mut chunk)?;
         if n == 0 {
             return Err("connection closed mid-head".into());
         }
@@ -75,7 +79,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
 
     let mut body = buf[head_end + 4..].to_vec();
     while body.len() < content_length {
-        let n = stream.read(&mut chunk).map_err(|e| e.to_string())?;
+        let n = read_chunk(stream, &mut chunk)?;
         if n == 0 {
             return Err("connection closed mid-body".into());
         }
@@ -87,6 +91,13 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
         path,
         headers,
         body: String::from_utf8(body).map_err(|_| "body is not UTF-8")?,
+    })
+}
+
+fn read_chunk(stream: &mut TcpStream, chunk: &mut [u8]) -> Result<usize, String> {
+    stream.read(chunk).map_err(|e| match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => TIMED_OUT.to_string(),
+        _ => e.to_string(),
     })
 }
 
@@ -135,6 +146,7 @@ impl Response {
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            408 => "Request Timeout",
             429 => "Too Many Requests",
             500 => "Internal Server Error",
             503 => "Service Unavailable",

@@ -16,7 +16,7 @@
 //!   keys are comparable across runs and hosts.
 //! * [`cache`] — the keyed payload store with hit/miss/age accounting.
 //! * [`flight`] — single-flight coalescing plus fair bounded admission
-//!   (FIFO semaphore; full queue ⇒ HTTP 429 upstream).
+//!   (FIFO ticket gate; full queue ⇒ HTTP 429 upstream).
 //! * [`shard`] — the pinned worker pool: one `shmpi` universe per shard
 //!   at a time, placement-priced messaging, SPSC transport.
 //! * [`jobs`] — wire-level job shapes, parsing, and execution against

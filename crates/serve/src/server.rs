@@ -1,11 +1,13 @@
 //! The HTTP front end: request routing, cache/admission orchestration,
 //! graceful drain.
 //!
-//! Threading model: the async runtime only orchestrates *waiting*
-//! (single-flight joins, admission queueing); socket I/O and heavy job
-//! compute run on plain per-connection threads, which call into the
-//! runtime with `Handle::block_on`. This keeps the executor responsive
-//! with a handful of workers while jobs saturate the machine.
+//! Threading model: one plain thread per connection does the socket I/O
+//! and, for a single-flight leader, the job's compute. Nothing is async:
+//! a duplicate job parks on its key's condvar slot and a queued leader on
+//! the FIFO ticket gate (see [`crate::flight`]). Every socket carries
+//! read and write timeouts of [`IO_TIMEOUT`], so a stalled client cannot
+//! pin its thread or hold up a drain, and a panicking job answers 500
+//! without wedging its key.
 //!
 //! Routes:
 //!
@@ -21,17 +23,21 @@
 
 use crate::cache::ResultCache;
 use crate::flight::SingleFlight;
-use crate::http::{read_request, Request, Response};
+use crate::http::{self, read_request, Request, Response};
 use crate::jobs::{ExecContext, Job, TraceStore};
 use crate::key::machine_fingerprint;
 use crate::shard::ShardPool;
 use bwb_machine::{platforms, Platform, ShardPolicy};
 use bwb_trace::json::Json;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tokio::runtime::{Handle, Runtime};
+
+/// Read and write timeout on every connection. A request that has not
+/// arrived in full by then is answered 408 and the thread moves on.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -66,7 +72,6 @@ pub struct ServerState {
     flight: SingleFlight,
     ctx: ExecContext,
     machine: String,
-    handle: Handle,
     job_seq: AtomicU64,
     inflight: AtomicUsize,
     draining: AtomicBool,
@@ -157,15 +162,12 @@ pub struct Server {
     listener: TcpListener,
     state: Arc<ServerState>,
     local_addr: SocketAddr,
-    // Owns the executor; dropping the server stops the workers.
-    _runtime: Runtime,
 }
 
 impl Server {
     pub fn bind(cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
-        let runtime = Runtime::with_workers(4);
         let machine = machine_fingerprint(&cfg.platform);
         let state = Arc::new(ServerState {
             cache: ResultCache::new(),
@@ -175,7 +177,6 @@ impl Server {
                 traces: Arc::new(TraceStore::new()),
             },
             machine,
-            handle: runtime.handle().clone(),
             job_seq: AtomicU64::new(0),
             inflight: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
@@ -185,7 +186,6 @@ impl Server {
             listener,
             state,
             local_addr,
-            _runtime: runtime,
         })
     }
 
@@ -210,10 +210,8 @@ impl Server {
                     let state = Arc::clone(&self.state);
                     state.inflight.fetch_add(1, Ordering::SeqCst);
                     std::thread::spawn(move || {
-                        // Connection threads do blocking I/O.
-                        let _ = stream.set_nonblocking(false);
+                        let _inflight = InFlight(&state.inflight);
                         handle_connection(&state, stream);
-                        state.inflight.fetch_sub(1, Ordering::SeqCst);
                     });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -230,9 +228,25 @@ impl Server {
     }
 }
 
+/// Holds one count in `inflight` until dropped, unwinding included, so a
+/// connection thread can never keep [`Server::run`] from returning.
+struct InFlight<'a>(&'a AtomicUsize);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 fn handle_connection(state: &ServerState, mut stream: TcpStream) {
+    // Connection threads do blocking I/O, bounded by the timeouts.
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let response = match read_request(&mut stream) {
-        Ok(req) => route(state, &req),
+        Ok(req) => panic::catch_unwind(AssertUnwindSafe(|| route(state, &req)))
+            .unwrap_or_else(|_| Response::error(500, "job panicked")),
+        Err(e) if e == http::TIMED_OUT => Response::error(408, &e),
         Err(e) => Response::error(400, &e),
     };
     let _ = response.write_to(&mut stream);
@@ -283,11 +297,9 @@ fn handle_job(state: &ServerState, req: &Request) -> Response {
             .header("X-Job-Id", job_id.to_string());
     }
 
-    let flight = state.handle.block_on(
-        state
-            .flight
-            .run_or_join(key, || job.execute(&state.ctx, job_id)),
-    );
+    let flight = state
+        .flight
+        .run_or_join(key, || job.execute(&state.ctx, job_id));
     match flight {
         Err(full) => Response::error(429, "admission queue is full")
             .header("Retry-After", full.retry_after_secs.to_string()),

@@ -2,13 +2,14 @@
 //! sockets: overflowing the admission queue yields `429` with a
 //! `Retry-After` hint (and the work succeeds on retry); draining refuses
 //! new jobs with `503` while in-flight connections finish, then the accept
-//! loop returns.
+//! loop returns — even when a client connects and never sends a byte.
 
 use bwb_serve::http::request;
-use bwb_serve::server::{Server, ServerConfig};
+use bwb_serve::server::{Server, ServerConfig, IO_TIMEOUT};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Barrier;
+use std::time::Duration;
 
 #[test]
 fn overflowing_the_admission_queue_returns_429_with_retry_after() {
@@ -117,4 +118,33 @@ fn draining_refuses_new_jobs_and_exits_once_idle() {
 
     // With the last in-flight connection done, the accept loop returns.
     runner.join().expect("server thread exits after drain");
+}
+
+#[test]
+fn a_stalled_client_cannot_block_the_drain() {
+    let server = Server::bind(ServerConfig::default()).expect("bind");
+    let addr = server.local_addr().to_string();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        server.run();
+        let _ = done_tx.send(());
+    });
+
+    // Connect and send nothing: the connection counts as in-flight until
+    // its read times out.
+    let mut stalled = TcpStream::connect(&addr).expect("connect");
+    let shutdown = request(&addr, "POST", "/shutdown", None).expect("shutdown");
+    assert_eq!(shutdown.status, 200);
+
+    done_rx
+        .recv_timeout(IO_TIMEOUT + Duration::from_secs(2))
+        .expect("run() must return once the stalled read times out");
+    runner.join().expect("server thread");
+
+    // The stalled client is told why it was dropped.
+    let mut reply = String::new();
+    stalled
+        .read_to_string(&mut reply)
+        .expect("timeout response");
+    assert!(reply.starts_with("HTTP/1.1 408"), "stalled reply: {reply}");
 }

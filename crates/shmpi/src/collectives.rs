@@ -7,7 +7,6 @@
 
 use crate::comm::Comm;
 use crate::event::CommOp;
-use serde::{Deserialize, Serialize};
 
 /// Base of the reserved tag space for collectives. Public so analyzers
 /// (commcheck's imbalance pass) can separate collective-internal traffic
@@ -17,7 +16,7 @@ pub const COLL_TAG_BASE: u32 = 0x8000_0000;
 const COLL_TAG_WINDOW: u32 = 0x4000_0000;
 
 /// Elementwise reduction operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReduceOp {
     Sum,
     Min,

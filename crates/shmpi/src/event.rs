@@ -15,10 +15,8 @@
 //! actually matched. Replay re-derives whether that match was forced or a
 //! race artifact.
 
-use serde::Serialize;
-
 /// What one communication event did.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommOp {
     /// Eager buffered send to `dest`.
     Send { dest: usize },
@@ -39,7 +37,7 @@ pub enum CommOp {
 }
 
 /// One recorded communication event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommEvent {
     pub op: CommOp,
     /// Message tag (for `Barrier`, 0; for `Collective`, the base tag of the
@@ -54,7 +52,7 @@ pub struct CommEvent {
 }
 
 /// The ordered event sequence one rank produced.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommLog {
     pub rank: usize,
     pub events: Vec<CommEvent>,

@@ -282,17 +282,10 @@ impl<T> Drop for SpscRing<T> {
     }
 }
 
-/// Default per-source ring capacity (envelopes); override with
-/// `SHMPI_MAILBOX_CAP`. Small is fine: a full ring only spin-yields the
-/// sender, and halo exchanges post a handful of messages per neighbor.
+/// Per-source ring capacity (envelopes). Small is fine: a full ring only
+/// spin-yields the sender, and halo exchanges post a handful of messages
+/// per neighbor.
 const DEFAULT_RING_CAP: usize = 16;
-
-fn ring_cap_from_env() -> usize {
-    std::env::var("SHMPI_MAILBOX_CAP")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(DEFAULT_RING_CAP)
-}
 
 /// Lock-free mailbox: one [`SpscRing`] per source rank plus a
 /// receiver-owned stash for envelopes popped while scanning for a
@@ -316,7 +309,7 @@ pub struct SpscMailbox {
 impl SpscMailbox {
     /// A mailbox able to receive from `world_size` source ranks.
     pub fn new(world_size: usize) -> Self {
-        Self::with_ring_capacity(world_size, ring_cap_from_env())
+        Self::with_ring_capacity(world_size, DEFAULT_RING_CAP)
     }
 
     pub fn with_ring_capacity(world_size: usize, ring_cap: usize) -> Self {

@@ -9,7 +9,6 @@
 //! letting figure generators re-cost an observed communication pattern on a
 //! platform we do not have.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Number of log2 buckets in the message-size histograms. Bucket `i`
@@ -26,7 +25,7 @@ fn size_bucket(bytes: usize) -> usize {
 }
 
 /// Traffic exchanged with one peer, with message-size histograms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeerStats {
     pub sends: u64,
     pub recvs: u64,
@@ -61,7 +60,7 @@ impl Default for PeerStats {
 /// attributes the receive-side share of it to the matched peer and tag.
 /// Barrier wait is deliberately *not* attributed here (it has no peer).
 /// `BTreeMap` keeps iteration — and hence any rendered report — deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommDetail {
     pub per_peer: BTreeMap<usize, PeerStats>,
     /// Seconds blocked in receives, keyed by message tag.
@@ -111,7 +110,7 @@ impl CommDetail {
 }
 
 /// Statistics for one rank.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RankStats {
     pub sends: u64,
     pub recvs: u64,
@@ -144,7 +143,7 @@ impl RankStats {
 }
 
 /// Aggregate over all ranks of a run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorldStats {
     pub per_rank: Vec<RankStats>,
     /// Per-peer/per-tag breakdown, indexed like `per_rank`. Empty when the

@@ -4,10 +4,9 @@
 
 use bwb_machine::{Platform, PlatformKind};
 use bwb_memsim::{MachineSubset, MemoryHierarchyModel, StoreMode, TrafficModel};
-use serde::{Deserialize, Serialize};
 
 /// One point of a modelled Figure-1 series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Figure1Point {
     /// Per-array length in f64 elements.
     pub elements: u64,
@@ -18,7 +17,7 @@ pub struct Figure1Point {
 }
 
 /// One platform/subset/flag-variant series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure1Series {
     pub platform: String,
     pub platform_kind: PlatformKind,

@@ -1,8 +1,8 @@
 //! Chrome `trace_event` JSON export (the "JSON Object Format" with a
 //! `traceEvents` array), loadable in Perfetto / `chrome://tracing`.
 //!
-//! Hand-written emission: the vendored `serde` is a marker-only shim, so —
-//! like the `analyze` CLI — the exporter formats JSON directly and the
+//! Hand-written emission: the workspace has no serialization framework,
+//! so — like the `analyze` CLI — the exporter formats JSON directly and the
 //! schema tests round-trip it through [`crate::json`].
 //!
 //! Span pairs become `"ph":"X"` complete events; counters become `"C"`;

@@ -1,10 +1,11 @@
 //! Minimal JSON parser and validator.
 //!
-//! The workspace's vendored `serde` is a marker-only shim, so the Chrome
-//! exporter writes JSON by hand; this module is the other half of that
-//! bargain — a small recursive-descent parser used to round-trip exported
-//! traces and check them against the Chrome `trace_event` schema (the CI
-//! trace-smoke gate and the integration tests).
+//! The workspace builds without a registry, so it has no serialization
+//! framework and the Chrome exporter writes JSON by hand; this module is
+//! the other half of that bargain — a small recursive-descent parser used
+//! to round-trip exported traces and check them against the Chrome
+//! `trace_event` schema (the CI trace-smoke gate and the integration
+//! tests).
 
 use std::collections::BTreeMap;
 
