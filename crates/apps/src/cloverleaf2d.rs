@@ -20,7 +20,7 @@
 
 use crate::{AppId, AppRun};
 use bwb_ops::{
-    fused2_rows, par_loop2, par_loop2_reduce, par_loop2_rows, recording_active, Dat2, DistBlock2,
+    fused2_rows, par_loop2_rows, par_loop2_rows_reduce, recording_active, Dat2, DistBlock2,
     ExecMode, FusedLoop2, OptPlan, Profile, Range2, RowIn2, RowOut2,
 };
 use bwb_shmpi::{Comm, ReduceOp};
@@ -94,6 +94,115 @@ fn van_leer(r: f64) -> f64 {
     } else {
         2.0 // monotone upstream: Δ downstream is 0 ⇒ limited slope is 0 anyway
     }
+}
+
+/// Offsets of the advective remap's upwind window along the sweep axis:
+/// row `o + 2` of a window is the field at offset `o`.
+const WINDOW5: [isize; 5] = [-2, -1, 0, 1, 2];
+
+/// FLOPs per point of one `advec_cell` sweep.
+fn advec_cell_flops(scheme: Advection) -> f64 {
+    if scheme == Advection::VanLeer {
+        38.0
+    } else {
+        18.0
+    }
+}
+
+// The per-point helpers below are `#[inline(always)]` plain functions,
+// not closures: they run once per point inside the row loops, where an
+// out-of-line call costs more than the arithmetic.
+
+/// The conservative remap of one row along the sweep axis, shared by the
+/// X and Y sweeps: `d`/`e` are the density1/energy1 [`WINDOW5`] rows,
+/// `flux` the volume-flux rows of the cells' low and high faces, `wd`/`we`
+/// the new density and energy rows. The scheme is matched once per row so
+/// each loop compiles for a constant scheme.
+fn advec_cell_row(
+    d: &[&[f64]; 5],
+    e: &[&[f64]; 5],
+    flux: &[&[f64]; 2],
+    wd: &mut [f64],
+    we: &mut [f64],
+    vol: f64,
+    scheme: Advection,
+) {
+    match scheme {
+        Advection::DonorCell => {
+            for i in 0..wd.len() {
+                (wd[i], we[i]) = advec_cell_point(d, e, flux, i, vol, Advection::DonorCell);
+            }
+        }
+        Advection::VanLeer => {
+            for i in 0..wd.len() {
+                (wd[i], we[i]) = advec_cell_point(d, e, flux, i, vol, Advection::VanLeer);
+            }
+        }
+    }
+}
+
+/// Cell `i` of [`advec_cell_row`]: returns its new (density, energy).
+#[inline(always)]
+fn advec_cell_point(
+    d: &[&[f64]; 5],
+    e: &[&[f64]; 5],
+    flux: &[&[f64]; 2],
+    i: usize,
+    vol: f64,
+    scheme: Advection,
+) -> (f64, f64) {
+    // Face 0 (low side of the cell): flux from the low neighbour in when > 0.
+    let fv = flux[0][i];
+    let m_in = fv * face_val(d, i, 0, fv, vol, scheme);
+    let e_in = m_in * face_val(e, i, 0, fv, vol, scheme);
+    let fv = flux[1][i];
+    let m_out = fv * face_val(d, i, 1, fv, vol, scheme);
+    let e_out = m_out * face_val(e, i, 1, fv, vol, scheme);
+    let rho = d[2][i];
+    let en = e[2][i];
+    let mass = rho * vol + m_in - m_out;
+    let energy_mass = rho * en * vol + e_in - e_out;
+    (mass / vol, energy_mass / mass.max(1e-300))
+}
+
+/// Value at `face` (0 = low, 1 = high) of cell `i` of the [`WINDOW5`]
+/// rows `w` for face volume flux `fv`: the donor cell's value, van
+/// Leer-limited toward the face when the scheme asks for it.
+#[inline(always)]
+fn face_val(w: &[&[f64]; 5], i: usize, face: isize, fv: f64, vol: f64, scheme: Advection) -> f64 {
+    let (donor, toward) = if fv > 0.0 { (face - 1, 1) } else { (face, -1) };
+    let at = |o: isize| w[(o + 2) as usize][i];
+    let dv = at(donor);
+    if scheme == Advection::DonorCell {
+        return dv;
+    }
+    let down = at(donor + toward);
+    let up = at(donor - toward);
+    let dd = down - dv;
+    if dd == 0.0 {
+        return dv;
+    }
+    let r = (dv - up) / dd;
+    let sigma = (fv / vol).abs().min(1.0);
+    dv + 0.5 * van_leer(r) * (1.0 - sigma) * dd
+}
+
+/// Upwind advection term `u·∂g/∂x + v·∂g/∂y` of node `i` for the
+/// velocity component whose plus2(1) rows are `g` (centre, west, east,
+/// south, north).
+#[inline(always)]
+fn upwind2(g: &[&[f64]; 5], i: usize, u: f64, v: f64, dx: f64, dy: f64) -> f64 {
+    let ddx = if u > 0.0 {
+        g[0][i] - g[1][i]
+    } else {
+        g[2][i] - g[0][i]
+    } / dx;
+    let ddy = if v > 0.0 {
+        g[0][i] - g[3][i]
+    } else {
+        g[4][i] - g[0][i]
+    } / dy;
+    u * ddx + v * ddy
 }
 
 /// The solver state (one rank's sub-block when distributed).
@@ -480,7 +589,7 @@ impl Clover2 {
     /// CFL time step (local min; allreduced when distributed).
     fn calc_dt(&mut self, profile: &mut Profile, comm: Option<&mut Comm>) -> f64 {
         let (dx, dy, cfl) = (self.dx, self.dy, self.cfg.cfl);
-        let local = par_loop2_reduce(
+        let local = par_loop2_rows_reduce(
             profile,
             "calc_dt",
             self.cfg.mode,
@@ -488,11 +597,17 @@ impl Clover2 {
             &[&self.soundspeed, &self.xvel0, &self.yvel0],
             f64::INFINITY,
             8.0,
-            move |_i, _j, ins| {
-                let ss = ins.get(0, 0, 0);
-                let u = ins.get(1, 0, 0).abs().max(ins.get(1, 1, 1).abs());
-                let v = ins.get(2, 0, 0).abs().max(ins.get(2, 1, 1).abs());
-                cfl * (dx / (ss + u + 1e-12)).min(dy / (ss + v + 1e-12))
+            move |_j, ins, mut acc| {
+                let ss = ins.row(0);
+                let (u00, u11) = (ins.row(1), ins.row_off(1, 1, 1));
+                let (v00, v11) = (ins.row(2), ins.row_off(2, 1, 1));
+                for i in 0..ss.len() {
+                    let u = u00[i].abs().max(u11[i].abs());
+                    let v = v00[i].abs().max(v11[i].abs());
+                    let dt = cfl * (dx / (ss[i] + u + 1e-12)).min(dy / (ss[i] + v + 1e-12));
+                    acc = f64::min(acc, dt);
+                }
+                acc
             },
             f64::min,
         );
@@ -650,51 +765,20 @@ impl Clover2 {
     fn advec_cell_x(&mut self, profile: &mut Profile) {
         let vol = self.dx * self.dy;
         let scheme = self.cfg.advection;
-        par_loop2(
+        par_loop2_rows(
             profile,
             "advec_cell_x",
             self.cfg.mode,
             self.cells(),
             &mut [&mut self.work_d, &mut self.work_e],
             &[&self.density1, &self.energy1, &self.vol_flux_x],
-            if scheme == Advection::VanLeer {
-                38.0
-            } else {
-                18.0
-            },
-            move |_i, _j, out, ins| {
-                // Face value with optional van Leer-limited reconstruction
-                // from the donor cell toward the face.
-                let face_val = |f: usize, face: isize, fv: f64| -> f64 {
-                    let (donor, toward) = if fv > 0.0 { (face - 1, 1) } else { (face, -1) };
-                    let d = ins.get(f, donor, 0);
-                    if scheme == Advection::DonorCell {
-                        return d;
-                    }
-                    let down = ins.get(f, donor + toward, 0);
-                    let up = ins.get(f, donor - toward, 0);
-                    let dd = down - d;
-                    if dd == 0.0 {
-                        return d;
-                    }
-                    let r = (d - up) / dd;
-                    let sigma = (fv / vol).abs().min(1.0);
-                    d + 0.5 * van_leer(r) * (1.0 - sigma) * dd
-                };
-                // Face i (left of cell): flux from cell i-1 → i when > 0.
-                let flux_mass = |face: isize| -> (f64, f64) {
-                    let fv = ins.get(2, face, 0);
-                    let m = fv * face_val(0, face, fv);
-                    (m, m * face_val(1, face, fv))
-                };
-                let (m_in, e_in) = flux_mass(0);
-                let (m_out, e_out) = flux_mass(1);
-                let rho = ins.get(0, 0, 0);
-                let e = ins.get(1, 0, 0);
-                let mass = rho * vol + m_in - m_out;
-                let energy_mass = rho * e * vol + e_in - e_out;
-                out.set(0, mass / vol);
-                out.set(1, energy_mass / mass.max(1e-300));
+            advec_cell_flops(scheme),
+            move |_j, out, ins| {
+                let d = WINDOW5.map(|o| ins.row_off(0, o, 0));
+                let e = WINDOW5.map(|o| ins.row_off(1, o, 0));
+                let flux = [ins.row_off(2, 0, 0), ins.row_off(2, 1, 0)];
+                let (wd, we) = out.rows2(0, 1);
+                advec_cell_row(&d, &e, &flux, wd, we, vol, scheme);
             },
         );
         std::mem::swap(&mut self.density1, &mut self.work_d);
@@ -705,48 +789,20 @@ impl Clover2 {
     fn advec_cell_y(&mut self, profile: &mut Profile) {
         let vol = self.dx * self.dy;
         let scheme = self.cfg.advection;
-        par_loop2(
+        par_loop2_rows(
             profile,
             "advec_cell_y",
             self.cfg.mode,
             self.cells(),
             &mut [&mut self.work_d, &mut self.work_e],
             &[&self.density1, &self.energy1, &self.vol_flux_y],
-            if scheme == Advection::VanLeer {
-                38.0
-            } else {
-                18.0
-            },
-            move |_i, _j, out, ins| {
-                let face_val = |f: usize, face: isize, fv: f64| -> f64 {
-                    let (donor, toward) = if fv > 0.0 { (face - 1, 1) } else { (face, -1) };
-                    let d = ins.get(f, 0, donor);
-                    if scheme == Advection::DonorCell {
-                        return d;
-                    }
-                    let down = ins.get(f, 0, donor + toward);
-                    let up = ins.get(f, 0, donor - toward);
-                    let dd = down - d;
-                    if dd == 0.0 {
-                        return d;
-                    }
-                    let r = (d - up) / dd;
-                    let sigma = (fv / vol).abs().min(1.0);
-                    d + 0.5 * van_leer(r) * (1.0 - sigma) * dd
-                };
-                let flux_mass = |face: isize| -> (f64, f64) {
-                    let fv = ins.get(2, 0, face);
-                    let m = fv * face_val(0, face, fv);
-                    (m, m * face_val(1, face, fv))
-                };
-                let (m_in, e_in) = flux_mass(0);
-                let (m_out, e_out) = flux_mass(1);
-                let rho = ins.get(0, 0, 0);
-                let e = ins.get(1, 0, 0);
-                let mass = rho * vol + m_in - m_out;
-                let energy_mass = rho * e * vol + e_in - e_out;
-                out.set(0, mass / vol);
-                out.set(1, energy_mass / mass.max(1e-300));
+            advec_cell_flops(scheme),
+            move |_j, out, ins| {
+                let d = WINDOW5.map(|o| ins.row_off(0, 0, o));
+                let e = WINDOW5.map(|o| ins.row_off(1, 0, o));
+                let flux = [ins.row_off(2, 0, 0), ins.row_off(2, 0, 1)];
+                let (wd, we) = out.rows2(0, 1);
+                advec_cell_row(&d, &e, &flux, wd, we, vol, scheme);
             },
         );
         std::mem::swap(&mut self.density1, &mut self.work_d);
@@ -756,7 +812,7 @@ impl Clover2 {
     /// Upwind momentum advection (both sweeps fused per direction).
     fn advec_mom(&mut self, profile: &mut Profile, dt: f64) {
         let (dx, dy) = (self.dx, self.dy);
-        par_loop2(
+        par_loop2_rows(
             profile,
             "advec_mom",
             self.cfg.mode,
@@ -764,24 +820,17 @@ impl Clover2 {
             &mut [&mut self.work_u, &mut self.work_v],
             &[&self.xvel1, &self.yvel1],
             20.0,
-            move |_i, _j, out, ins| {
-                let u = ins.get(0, 0, 0);
-                let v = ins.get(1, 0, 0);
-                let upwind = |f: usize, du: f64, dv: f64| -> f64 {
-                    let ddx = if du > 0.0 {
-                        ins.get(f, 0, 0) - ins.get(f, -1, 0)
-                    } else {
-                        ins.get(f, 1, 0) - ins.get(f, 0, 0)
-                    } / dx;
-                    let ddy = if dv > 0.0 {
-                        ins.get(f, 0, 0) - ins.get(f, 0, -1)
-                    } else {
-                        ins.get(f, 0, 1) - ins.get(f, 0, 0)
-                    } / dy;
-                    du * ddx + dv * ddy
-                };
-                out.set(0, u - dt * upwind(0, u, v));
-                out.set(1, v - dt * upwind(1, u, v));
+            move |_j, out, ins| {
+                // The plus2(1) rows: centre, west, east, south, north.
+                let plus = [(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)];
+                let u = plus.map(|(di, dj)| ins.row_off(0, di, dj));
+                let v = plus.map(|(di, dj)| ins.row_off(1, di, dj));
+                let (wu, wv) = out.rows2(0, 1);
+                for i in 0..wu.len() {
+                    let (uc, vc) = (u[0][i], v[0][i]);
+                    wu[i] = uc - dt * upwind2(&u, i, uc, vc, dx, dy);
+                    wv[i] = vc - dt * upwind2(&v, i, uc, vc, dx, dy);
+                }
             },
         );
     }
@@ -846,7 +895,7 @@ impl Clover2 {
     /// Field summary: (total mass, total energy incl. kinetic).
     pub fn field_summary(&self, profile: &mut Profile) -> (f64, f64) {
         let vol = self.dx * self.dy;
-        let (mass, ie) = par_loop2_reduce(
+        let (mass, ie) = par_loop2_rows_reduce(
             profile,
             "field_summary",
             ExecMode::Serial,
@@ -854,16 +903,20 @@ impl Clover2 {
             &[&self.density0, &self.energy0],
             (0.0f64, 0.0f64),
             4.0,
-            move |_i, _j, ins| {
-                let rho = ins.get(0, 0, 0);
-                (rho * vol, rho * ins.get(1, 0, 0) * vol)
+            move |_j, ins, (mut m, mut ie)| {
+                let (rho, e) = (ins.row(0), ins.row(1));
+                for i in 0..rho.len() {
+                    m += rho[i] * vol;
+                    ie += rho[i] * e[i] * vol;
+                }
+                (m, ie)
             },
             |a, b| (a.0 + b.0, a.1 + b.1),
         );
         // Kinetic energy from nodes (quarter-cell masses omitted at walls —
         // summary only).
         let vol4 = vol;
-        let ke = par_loop2_reduce(
+        let ke = par_loop2_rows_reduce(
             profile,
             "field_summary_ke",
             ExecMode::Serial,
@@ -871,13 +924,17 @@ impl Clover2 {
             &[&self.density0, &self.xvel0, &self.yvel0],
             0.0f64,
             8.0,
-            move |_i, _j, ins| {
-                let rho = ins.get(0, 0, 0);
-                let u = 0.25
-                    * (ins.get(1, 0, 0) + ins.get(1, 1, 0) + ins.get(1, 0, 1) + ins.get(1, 1, 1));
-                let v = 0.25
-                    * (ins.get(2, 0, 0) + ins.get(2, 1, 0) + ins.get(2, 0, 1) + ins.get(2, 1, 1));
-                0.5 * rho * (u * u + v * v) * vol4
+            move |_j, ins, mut acc| {
+                let rho = ins.row(0);
+                let quad = [(0, 0), (1, 0), (0, 1), (1, 1)];
+                let x = quad.map(|(di, dj)| ins.row_off(1, di, dj));
+                let y = quad.map(|(di, dj)| ins.row_off(2, di, dj));
+                for i in 0..rho.len() {
+                    let u = 0.25 * (x[0][i] + x[1][i] + x[2][i] + x[3][i]);
+                    let v = 0.25 * (y[0][i] + y[1][i] + y[2][i] + y[3][i]);
+                    acc += 0.5 * rho[i] * (u * u + v * v) * vol4;
+                }
+                acc
             },
             |a, b| a + b,
         );
@@ -926,6 +983,31 @@ impl Clover2 {
     /// Direct access for tests.
     pub fn density(&self) -> &Dat2<f64> {
         &self.density0
+    }
+
+    /// Every dataset of the solver state, in declaration order (for the
+    /// golden bit-identity pins).
+    #[cfg(test)]
+    pub(crate) fn dats(&self) -> [&Dat2<f64>; 17] {
+        [
+            &self.density0,
+            &self.density1,
+            &self.energy0,
+            &self.energy1,
+            &self.pressure,
+            &self.viscosity,
+            &self.soundspeed,
+            &self.work_d,
+            &self.work_e,
+            &self.xvel0,
+            &self.xvel1,
+            &self.yvel0,
+            &self.yvel1,
+            &self.work_u,
+            &self.work_v,
+            &self.vol_flux_x,
+            &self.vol_flux_y,
+        ]
     }
 }
 

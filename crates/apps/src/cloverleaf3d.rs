@@ -9,7 +9,7 @@
 //! cells, the remap runs three sweeps.
 
 use crate::{AppId, AppRun};
-use bwb_ops::{par_loop3, par_loop3_planes, par_loop3_reduce, Dat3, ExecMode, Profile, Range3};
+use bwb_ops::{par_loop3_planes, par_loop3_planes_reduce, Dat3, ExecMode, Profile, Range3};
 use std::time::Instant;
 
 pub const GAMMA: f64 = 1.4;
@@ -44,6 +44,21 @@ impl Config {
             mode: ExecMode::Rayon,
         }
     }
+}
+
+/// Upwind advection term `u·∂g/∂x + v·∂g/∂y + w·∂g/∂z` of node `i` for
+/// the velocity component whose plus3(1) rows are `g` (centre, then -x,
+/// +x, -y, +y, -z, +z), with `uvw` the node's velocity. A plain
+/// `#[inline(always)]` function rather than a closure: it runs once per
+/// point and component, where an out-of-line call costs more than the
+/// arithmetic.
+#[inline(always)]
+fn upwind3(g: &[&[f64]; 7], i: usize, [u, v, w]: [f64; 3], dx: f64) -> f64 {
+    let c = g[0][i];
+    let ddx = if u > 0.0 { c - g[1][i] } else { g[2][i] - c } / dx;
+    let ddy = if v > 0.0 { c - g[3][i] } else { g[4][i] - c } / dx;
+    let ddz = if w > 0.0 { c - g[5][i] } else { g[6][i] - c } / dx;
+    u * ddx + v * ddy + w * ddz
 }
 
 pub struct Clover3 {
@@ -141,32 +156,41 @@ impl Clover3 {
             &mut self.density1,
             &mut self.energy1,
         ] {
+            // Storage index of (i, j, k). The x mirrors are single points
+            // at both ends of every interior row; the y mirrors are whole
+            // padded i-rows and the z mirrors whole padded (i, j)-planes,
+            // so those copy contiguous slices. Every column still sees its
+            // copies in the per-point order (layer 1 before layer 2), which
+            // matters when n < HALO.
+            let (pitch, slab) = (f.pitch(), f.slab());
+            let at = |i: isize, j: isize, k: isize| {
+                (k + h) as usize * slab + (j + h) as usize * pitch + (i + h) as usize
+            };
+            let data = f.raw_mut();
             for k in 0..n {
                 for j in 0..n {
                     for hh in 1..=h {
-                        f.set(-hh, j, k, f.get(hh - 1, j, k));
-                        f.set(n - 1 + hh, j, k, f.get(n - hh, j, k));
+                        data[at(-hh, j, k)] = data[at(hh - 1, j, k)];
+                        data[at(n - 1 + hh, j, k)] = data[at(n - hh, j, k)];
                         points += 2;
                     }
                 }
             }
             for k in 0..n {
-                for i in -h..n + h {
-                    for hh in 1..=h {
-                        f.set(i, -hh, k, f.get(i, hh - 1, k));
-                        f.set(i, n - 1 + hh, k, f.get(i, n - hh, k));
-                        points += 2;
-                    }
+                for hh in 1..=h {
+                    let src = at(-h, hh - 1, k);
+                    data.copy_within(src..src + pitch, at(-h, -hh, k));
+                    let src = at(-h, n - hh, k);
+                    data.copy_within(src..src + pitch, at(-h, n - 1 + hh, k));
+                    points += 2 * pitch;
                 }
             }
-            for j in -h..n + h {
-                for i in -h..n + h {
-                    for hh in 1..=h {
-                        f.set(i, j, -hh, f.get(i, j, hh - 1));
-                        f.set(i, j, n - 1 + hh, f.get(i, j, n - hh));
-                        points += 2;
-                    }
-                }
+            for hh in 1..=h {
+                let src = at(-h, -h, hh - 1);
+                data.copy_within(src..src + slab, at(-h, -h, -hh));
+                let src = at(-h, -h, n - hh);
+                data.copy_within(src..src + slab, at(-h, -h, n - 1 + hh));
+                points += 2 * slab;
             }
         }
         profile.record(
@@ -282,7 +306,7 @@ impl Clover3 {
 
     fn calc_dt(&mut self, profile: &mut Profile) -> f64 {
         let (dx, cfl) = (self.dx, self.cfg.cfl);
-        par_loop3_reduce(
+        par_loop3_planes_reduce(
             profile,
             "calc_dt3",
             self.cfg.mode,
@@ -290,14 +314,13 @@ impl Clover3 {
             &[&self.soundspeed, &self.xvel, &self.yvel, &self.zvel],
             f64::INFINITY,
             10.0,
-            move |_i, _j, _k, ins| {
-                let ss = ins.get(0, 0, 0, 0);
-                let vmax = ins
-                    .get(1, 0, 0, 0)
-                    .abs()
-                    .max(ins.get(2, 0, 0, 0).abs())
-                    .max(ins.get(3, 0, 0, 0).abs());
-                cfl * dx / (ss + vmax + 1e-12)
+            move |_j, _k, ins, mut acc| {
+                let (ss, u, v, w) = (ins.row(0), ins.row(1), ins.row(2), ins.row(3));
+                for i in 0..ss.len() {
+                    let vmax = u[i].abs().max(v[i].abs()).max(w[i].abs());
+                    acc = f64::min(acc, cfl * dx / (ss[i] + vmax + 1e-12));
+                }
+                acc
             },
             f64::min,
         )
@@ -511,7 +534,7 @@ impl Clover3 {
             1 => &self.vol_flux_y,
             _ => &self.vol_flux_z,
         };
-        par_loop3(
+        par_loop3_planes(
             profile,
             name,
             self.cfg.mode,
@@ -519,30 +542,36 @@ impl Clover3 {
             &mut [&mut self.work_d, &mut self.work_e],
             &[&self.density1, &self.energy1, flux_field],
             22.0,
-            move |_i, _j, _k, out, ins| {
-                let off = |face: isize, d: isize| -> (isize, isize, isize) {
-                    match dir {
-                        0 => (face + d, 0, 0),
-                        1 => (0, face + d, 0),
-                        _ => (0, 0, face + d),
-                    }
+            move |_j, _k, out, ins| {
+                // Row of input `f` at offset `o` along `dir`.
+                let along = |f: usize, o: isize| {
+                    let mut off = [0isize; 3];
+                    off[dir] = o;
+                    ins.row_off(f, off[0], off[1], off[2])
                 };
-                let flux = |face: isize| -> (f64, f64) {
-                    let (fi, fj, fk) = off(face, 0);
-                    let fv = ins.get(2, fi, fj, fk);
-                    let d = if fv > 0.0 { -1 } else { 0 };
-                    let (di, dj, dk) = off(face, d);
-                    let m = fv * ins.get(0, di, dj, dk);
-                    (m, m * ins.get(1, di, dj, dk))
-                };
-                let (m_in, e_in) = flux(0);
-                let (m_out, e_out) = flux(1);
-                let rho = ins.get(0, 0, 0, 0);
-                let e = ins.get(1, 0, 0, 0);
-                let mass = rho * vol + m_in - m_out;
-                let energy_mass = rho * e * vol + e_in - e_out;
-                out.set(0, mass / vol);
-                out.set(1, energy_mass / mass.max(1e-300));
+                // The upwind3 rows: index `o + 1` holds offset `o`.
+                let d = [-1, 0, 1].map(|o| along(0, o));
+                let e = [-1, 0, 1].map(|o| along(1, o));
+                let faces = [along(2, 0), along(2, 1)];
+                let (wd, we) = out.rows2(0, 1);
+                for i in 0..wd.len() {
+                    // Face 0 is the cell's low face: its donor is the low
+                    // neighbour (offset -1) when the flux is positive.
+                    let fv = faces[0][i];
+                    let donor = if fv > 0.0 { 0 } else { 1 };
+                    let m_in = fv * d[donor][i];
+                    let e_in = m_in * e[donor][i];
+                    let fv = faces[1][i];
+                    let donor = if fv > 0.0 { 1 } else { 2 };
+                    let m_out = fv * d[donor][i];
+                    let e_out = m_out * e[donor][i];
+                    let rho = d[1][i];
+                    let en = e[1][i];
+                    let mass = rho * vol + m_in - m_out;
+                    let energy_mass = rho * en * vol + e_in - e_out;
+                    wd[i] = mass / vol;
+                    we[i] = energy_mass / mass.max(1e-300);
+                }
             },
         );
         std::mem::swap(&mut self.density1, &mut self.work_d);
@@ -552,7 +581,7 @@ impl Clover3 {
     /// Upwind momentum advection for all three velocity components.
     fn advec_mom(&mut self, profile: &mut Profile, dt: f64) {
         let dx = self.dx;
-        par_loop3(
+        par_loop3_planes(
             profile,
             "advec_mom3",
             self.cfg.mode,
@@ -560,33 +589,25 @@ impl Clover3 {
             &mut [&mut self.xvel, &mut self.yvel, &mut self.zvel],
             &[&self.xvel1, &self.yvel1, &self.zvel1],
             45.0,
-            move |_i, _j, _k, out, ins| {
-                let u = ins.get(0, 0, 0, 0);
-                let v = ins.get(1, 0, 0, 0);
-                let w = ins.get(2, 0, 0, 0);
-                let upwind = |f: usize| -> f64 {
-                    let g = |di: isize, dj: isize, dk: isize| ins.get(f, di, dj, dk);
-                    let c = g(0, 0, 0);
-                    let ddx = if u > 0.0 {
-                        c - g(-1, 0, 0)
-                    } else {
-                        g(1, 0, 0) - c
-                    } / dx;
-                    let ddy = if v > 0.0 {
-                        c - g(0, -1, 0)
-                    } else {
-                        g(0, 1, 0) - c
-                    } / dx;
-                    let ddz = if w > 0.0 {
-                        c - g(0, 0, -1)
-                    } else {
-                        g(0, 0, 1) - c
-                    } / dx;
-                    u * ddx + v * ddy + w * ddz
-                };
-                out.set(0, u - dt * upwind(0));
-                out.set(1, v - dt * upwind(1));
-                out.set(2, w - dt * upwind(2));
+            move |_j, _k, out, ins| {
+                // The plus3(1) rows: centre, then -x, +x, -y, +y, -z, +z.
+                let plus = [
+                    (0, 0, 0),
+                    (-1, 0, 0),
+                    (1, 0, 0),
+                    (0, -1, 0),
+                    (0, 1, 0),
+                    (0, 0, -1),
+                    (0, 0, 1),
+                ];
+                let g = [0, 1, 2].map(|f| plus.map(|(di, dj, dk)| ins.row_off(f, di, dj, dk)));
+                let (xo, yo, zo) = out.rows3(0, 1, 2);
+                for i in 0..xo.len() {
+                    let uvw = [g[0][0][i], g[1][0][i], g[2][0][i]];
+                    xo[i] = uvw[0] - dt * upwind3(&g[0], i, uvw, dx);
+                    yo[i] = uvw[1] - dt * upwind3(&g[1], i, uvw, dx);
+                    zo[i] = uvw[2] - dt * upwind3(&g[2], i, uvw, dx);
+                }
             },
         );
     }
@@ -632,7 +653,7 @@ impl Clover3 {
     /// (total mass, total internal energy).
     pub fn field_summary(&self, profile: &mut Profile) -> (f64, f64) {
         let vol = self.dx * self.dx * self.dx;
-        par_loop3_reduce(
+        par_loop3_planes_reduce(
             profile,
             "field_summary3",
             ExecMode::Serial,
@@ -640,12 +661,42 @@ impl Clover3 {
             &[&self.density0, &self.energy0],
             (0.0f64, 0.0f64),
             4.0,
-            move |_i, _j, _k, ins| {
-                let rho = ins.get(0, 0, 0, 0);
-                (rho * vol, rho * ins.get(1, 0, 0, 0) * vol)
+            move |_j, _k, ins, (mut m, mut ie)| {
+                let (rho, e) = (ins.row(0), ins.row(1));
+                for i in 0..rho.len() {
+                    m += rho[i] * vol;
+                    ie += rho[i] * e[i] * vol;
+                }
+                (m, ie)
             },
             |a, b| (a.0 + b.0, a.1 + b.1),
         )
+    }
+
+    /// Every dataset of the solver state, in declaration order (for the
+    /// golden bit-identity pins).
+    #[cfg(test)]
+    pub(crate) fn dats(&self) -> [&Dat3<f64>; 18] {
+        [
+            &self.density0,
+            &self.density1,
+            &self.energy0,
+            &self.energy1,
+            &self.pressure,
+            &self.viscosity,
+            &self.soundspeed,
+            &self.work_d,
+            &self.work_e,
+            &self.xvel,
+            &self.yvel,
+            &self.zvel,
+            &self.xvel1,
+            &self.yvel1,
+            &self.zvel1,
+            &self.vol_flux_x,
+            &self.vol_flux_y,
+            &self.vol_flux_z,
+        ]
     }
 
     pub fn run(cfg: Config) -> AppRun {
@@ -1014,6 +1065,78 @@ pub fn loop_specs() -> Vec<bwb_ops::LoopSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The mirrors `update_halo` applies, one point at a time in the
+    /// original x → y → z, layer-1-before-layer-2 order.
+    fn mirror_per_point(f: &mut Dat3<f64>, n: isize) {
+        let h = HALO as isize;
+        for k in 0..n {
+            for j in 0..n {
+                for hh in 1..=h {
+                    f.set(-hh, j, k, f.get(hh - 1, j, k));
+                    f.set(n - 1 + hh, j, k, f.get(n - hh, j, k));
+                }
+            }
+        }
+        for k in 0..n {
+            for i in -h..n + h {
+                for hh in 1..=h {
+                    f.set(i, -hh, k, f.get(i, hh - 1, k));
+                    f.set(i, n - 1 + hh, k, f.get(i, n - hh, k));
+                }
+            }
+        }
+        for j in -h..n + h {
+            for i in -h..n + h {
+                for hh in 1..=h {
+                    f.set(i, j, -hh, f.get(i, j, hh - 1));
+                    f.set(i, j, n - 1 + hh, f.get(i, j, n - hh));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn update_halo_matches_per_point_mirrors() {
+        // n = 1 < HALO makes the second mirror layer read the first.
+        for n in [1usize, 2, 5] {
+            let mut sim = Clover3::new(Config {
+                n,
+                ..Config::default()
+            });
+            let len = sim.density0.raw().len();
+            let fields = [
+                &mut sim.density0,
+                &mut sim.energy0,
+                &mut sim.pressure,
+                &mut sim.viscosity,
+                &mut sim.density1,
+                &mut sim.energy1,
+            ];
+            let mut want = Vec::new();
+            for (f, d) in fields.into_iter().enumerate() {
+                for (x, v) in d.raw_mut().iter_mut().enumerate() {
+                    *v = (f * len + x) as f64;
+                }
+                let mut r = d.clone();
+                mirror_per_point(&mut r, n as isize);
+                want.push(r.raw().to_vec());
+            }
+            let mut profile = Profile::new();
+            sim.update_halo(&mut profile);
+            let got = [
+                &sim.density0,
+                &sim.energy0,
+                &sim.pressure,
+                &sim.viscosity,
+                &sim.density1,
+                &sim.energy1,
+            ];
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.raw(), &w[..], "n={n} field {}", g.name());
+            }
+        }
+    }
 
     #[test]
     fn mass_exactly_conserved() {

@@ -33,6 +33,9 @@ pub mod miniweather;
 pub mod opensbli;
 pub mod volna;
 
+#[cfg(test)]
+mod golden;
+
 use bwb_ops::Profile;
 
 /// Identifies one of the paper's applications (Figure 3–8 rows/columns).

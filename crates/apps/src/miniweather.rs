@@ -16,7 +16,7 @@
 //! validation tests assert. Double precision, paper size 4000×2000.
 
 use crate::{AppId, AppRun};
-use bwb_ops::{par_loop2_reduce, par_loop2_rows, Dat2, ExecMode, Profile, Range2};
+use bwb_ops::{par_loop2_rows, par_loop2_rows_reduce, Dat2, ExecMode, Profile, Range2};
 use bwb_shmpi::Comm;
 
 /// Tag space for the distributed x-ring halo exchange.
@@ -637,7 +637,7 @@ impl MiniWeather {
     pub fn totals(&self, profile: &mut Profile) -> (f64, f64) {
         let (nx, nz) = (self.local_nx, self.cfg.nz);
         let sum = |f: &Dat2<f64>, profile: &mut Profile| {
-            par_loop2_reduce(
+            par_loop2_rows_reduce(
                 profile,
                 "mw_totals",
                 ExecMode::Serial,
@@ -645,7 +645,12 @@ impl MiniWeather {
                 &[f],
                 0.0f64,
                 1.0,
-                |_i, _j, ins| ins.get(0, 0, 0),
+                |_j, ins, mut acc| {
+                    for v in ins.row(0) {
+                        acc += v;
+                    }
+                    acc
+                },
                 |a, b| a + b,
             )
         };

@@ -16,7 +16,7 @@ use crate::violation::{Kind, Violation};
 use bwb_memsim::{StoreMode, TrafficModel};
 use bwb_ops::access::{with_recording_full, ArgSpec, LoopSpec, Stencil};
 use bwb_ops::plan::NtCert;
-use bwb_ops::{par_loop2, par_loop2_reduce, Dat2, ExecMode, Profile, Range2};
+use bwb_ops::{par_loop2, par_loop2_rows_reduce, Dat2, ExecMode, Profile, Range2};
 use std::collections::BTreeMap;
 
 /// Default cache-residency window: the Xeon MAX's 2 MiB per-core L2, the
@@ -352,7 +352,7 @@ pub fn reference_dot_traffic() -> TrafficModel {
     b.fill_interior(2.0);
     let (_sum, rec) = with_recording_full(|| {
         let mut p = Profile::new();
-        par_loop2_reduce(
+        par_loop2_rows_reduce(
             &mut p,
             "stream_dot",
             ExecMode::Serial,
@@ -360,7 +360,10 @@ pub fn reference_dot_traffic() -> TrafficModel {
             &[&a, &b],
             0.0f64,
             2.0,
-            |_i, _j, ins| ins.get(0, 0, 0) * ins.get(1, 0, 0),
+            |_j, ins, acc| {
+                let (a, b) = (ins.row(0), ins.row(1));
+                (0..a.len()).fold(acc, |s, i| s + a[i] * b[i])
+            },
             |x, y| x + y,
         );
     });

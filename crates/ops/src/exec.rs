@@ -113,6 +113,14 @@ impl Range3 {
 // Views
 // ---------------------------------------------------------------------------
 
+/// The panic of a failed row-extent check (`row_base`), kept out of line
+/// so that the check itself stays small enough to inline into kernels.
+#[cold]
+#[inline(never)]
+fn row_outside(at: &[isize]) -> ! {
+    panic!("row at {at:?} outside the padded extent")
+}
+
 /// Write view over one 2-D dataset: a raw pointer plus geometry.
 ///
 /// # Safety discipline
@@ -169,10 +177,34 @@ impl<T: Copy> WView2<T> {
     fn index(&self, i: isize, j: isize) -> usize {
         let ii = i + self.halo;
         let jj = j + self.halo;
-        debug_assert!(ii >= 0 && jj >= 0, "write at ({i},{j}) before halo start");
-        let idx = jj as usize * self.pitch + ii as usize;
-        assert!(idx < self.len, "write at ({i},{j}) outside dataset storage");
+        // Wrapping arithmetic: a negative coordinate is rejected by the
+        // sign test, so its wrapped index never matters.
+        let idx = (jj as usize)
+            .wrapping_mul(self.pitch)
+            .wrapping_add(ii as usize);
+        assert!(
+            ii >= 0 && jj >= 0 && idx < self.len,
+            "write at ({i},{j}) outside dataset storage"
+        );
         idx
+    }
+
+    /// Storage index of the `width`-point row starting at `(i0, j)`,
+    /// checked once for the whole row in every build profile: it must
+    /// start inside the halo, end inside its padded row (staging views have
+    /// no rows to end in), and end inside the storage.
+    #[inline(always)]
+    fn row_base(&self, i0: isize, j: isize, width: usize) -> usize {
+        let ii = i0 + self.halo;
+        let jj = j + self.halo;
+        if ii < 0 || jj < 0 || (self.pitch != 0 && ii as usize + width > self.pitch) {
+            row_outside(&[i0, j]);
+        }
+        let base = jj as usize * self.pitch + ii as usize;
+        if base + width > self.len {
+            row_outside(&[i0, j]);
+        }
+        base
     }
 
     #[inline]
@@ -228,12 +260,33 @@ impl<T: Copy> RView2<'_, T> {
     fn read(&self, i: isize, j: isize) -> T {
         let ii = i + self.halo;
         let jj = j + self.halo;
-        debug_assert!(ii >= 0 && jj >= 0, "read at ({i},{j}) before halo start");
-        let idx = jj as usize * self.pitch + ii as usize;
-        assert!(idx < self.len, "read at ({i},{j}) outside dataset storage");
+        // Wrapping arithmetic: see `WView2::index`.
+        let idx = (jj as usize)
+            .wrapping_mul(self.pitch)
+            .wrapping_add(ii as usize);
+        assert!(
+            ii >= 0 && jj >= 0 && idx < self.len,
+            "read at ({i},{j}) outside dataset storage"
+        );
         // SAFETY: bounds-checked above; the storage outlives `'a` and no
         // concurrent writer touches the rows a loop reads (driver contract).
         unsafe { *self.ptr.add(idx) }
+    }
+
+    /// Storage index of the `width`-point row starting at `(i0, j)`; the
+    /// same once-per-row check as [`WView2::row_base`].
+    #[inline(always)]
+    fn row_base(&self, i0: isize, j: isize, width: usize) -> usize {
+        let ii = i0 + self.halo;
+        let jj = j + self.halo;
+        if ii < 0 || jj < 0 || ii as usize + width > self.pitch {
+            row_outside(&[i0, j]);
+        }
+        let base = jj as usize * self.pitch + ii as usize;
+        if base + width > self.len {
+            row_outside(&[i0, j]);
+        }
+        base
     }
 }
 
@@ -412,15 +465,10 @@ impl<T: Copy> RowOut2<'_, T> {
             access::note_out(f, OutKind::Wrote);
         }
         let v = &self.views[f];
-        let base = v.index(self.i0, self.j);
-        assert!(
-            base + self.width <= v.len,
-            "row at j={} overruns dataset storage",
-            self.j
-        );
-        // SAFETY: bounds checked above; rows are disjoint across threads
-        // because drivers partition by `j`, and `&mut self` prevents a kernel
-        // from holding two slices of the same dataset at once.
+        let base = v.row_base(self.i0, self.j, self.width);
+        // SAFETY: bounds checked by `row_base`; rows are disjoint across
+        // threads because drivers partition by `j`, and `&mut self` prevents
+        // a kernel from holding two slices of the same dataset at once.
         unsafe { std::slice::from_raw_parts_mut(v.ptr.add(base), self.width) }
     }
 
@@ -438,9 +486,8 @@ impl<T: Copy> RowOut2<'_, T> {
             !std::ptr::eq(v0.ptr, v1.ptr),
             "output datasets must not alias"
         );
-        let b0 = v0.index(self.i0, self.j);
-        let b1 = v1.index(self.i0, self.j);
-        assert!(b0 + self.width <= v0.len && b1 + self.width <= v1.len);
+        let b0 = v0.row_base(self.i0, self.j, self.width);
+        let b1 = v1.row_base(self.i0, self.j, self.width);
         // SAFETY: as in `row`; the two slices come from different
         // allocations (outs are distinct `&mut Dat2`).
         unsafe {
@@ -464,12 +511,9 @@ impl<T: Copy> RowOut2<'_, T> {
             access::note_out(f2, OutKind::Wrote);
         }
         let (v0, v1, v2) = (&self.views[f0], &self.views[f1], &self.views[f2]);
-        let b0 = v0.index(self.i0, self.j);
-        let b1 = v1.index(self.i0, self.j);
-        let b2 = v2.index(self.i0, self.j);
-        assert!(
-            b0 + self.width <= v0.len && b1 + self.width <= v1.len && b2 + self.width <= v2.len
-        );
+        let b0 = v0.row_base(self.i0, self.j, self.width);
+        let b1 = v1.row_base(self.i0, self.j, self.width);
+        let b2 = v2.row_base(self.i0, self.j, self.width);
         // SAFETY: as in `row`; distinct allocations.
         unsafe {
             (
@@ -503,7 +547,7 @@ impl<'a, T> RowIn2<'a, T> {
 
 impl<'a, T: Copy> RowIn2<'a, T> {
     /// The current row of input dataset `f`.
-    #[inline]
+    #[inline(always)]
     pub fn row(&self, f: usize) -> &'a [T] {
         self.row_off(f, 0, 0)
     }
@@ -511,7 +555,7 @@ impl<'a, T: Copy> RowIn2<'a, T> {
     /// The row of input dataset `f` starting at offset `(di, dj)` from
     /// `(i0, j)`, with the same width as the output rows: element `x` of
     /// the returned slice is the value at `(i0 + di + x, j + dj)`.
-    #[inline]
+    #[inline(always)]
     pub fn row_off(&self, f: usize, di: isize, dj: isize) -> &'a [T] {
         // Element `x` of the returned slice sits at offset `(di, dj)` from
         // point `(i0 + x, j)`, so one note covers the whole row exactly.
@@ -519,18 +563,9 @@ impl<'a, T: Copy> RowIn2<'a, T> {
             access::note_read(f, di, dj, 0);
         }
         let v = &self.views[f];
-        let ii = self.i0 + di + v.halo;
-        let jj = self.j + dj + v.halo;
-        debug_assert!(
-            ii >= 0 && jj >= 0,
-            "row read at offset ({di},{dj}) before halo start"
-        );
-        let base = jj as usize * v.pitch + ii as usize;
-        assert!(
-            base + self.width <= v.len,
-            "row read at offset ({di},{dj}) overruns dataset storage"
-        );
-        // SAFETY: bounds-checked above; shared access for `'a` (see RView2).
+        let base = v.row_base(self.i0 + di, self.j + dj, self.width);
+        // SAFETY: bounds-checked by `row_base`; shared access for `'a` (see
+        // RView2).
         unsafe { std::slice::from_raw_parts(v.ptr.add(base), self.width) }
     }
 }
@@ -596,6 +631,25 @@ pub(crate) fn rviews2<'a, T: Copy>(ins: &'a [&'a Dat2<T>]) -> Vec<RView2<'a, T>>
         .collect()
 }
 
+/// The timed region of loop `name`: one trace span carrying the loop's
+/// computed `bytes`, `flops` and `points`, and the seconds `body` took.
+/// Callers keep view construction and profile bookkeeping outside `body`,
+/// so recorded seconds cover the loop body only.
+pub(crate) fn timed<R>(
+    name: &str,
+    points: usize,
+    bytes: usize,
+    flops: f64,
+    body: impl FnOnce() -> R,
+) -> (R, f64) {
+    let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
+    let t0 = Instant::now();
+    let result = body();
+    let seconds = t0.elapsed().as_secs_f64();
+    tspan.set_args(bytes as f64, flops, points as f64);
+    (result, seconds)
+}
+
 /// Execute a 2-D stencil loop.
 ///
 /// * `outs` — datasets written at the current point (index into [`Out2`]);
@@ -603,6 +657,11 @@ pub(crate) fn rviews2<'a, T: Copy>(ins: &'a [&'a Dat2<T>]) -> Vec<RView2<'a, T>>
 /// * `flops_per_point` — arithmetic per point, recorded for the roofline /
 ///   effective-bandwidth accounting (Figure 8);
 /// * `kernel(i, j, out, ins)` — the per-point computation.
+///
+/// No application loop runs here: they all use the row/plane drivers. This
+/// per-point form stays as the reference the property suites and the
+/// planted dslcheck fixtures compare against, and as the engine under the
+/// tiled [`crate::LoopChain2`].
 #[allow(clippy::too_many_arguments)]
 pub fn par_loop2<T, F>(
     profile: &mut Profile,
@@ -617,7 +676,9 @@ pub fn par_loop2<T, F>(
     T: Copy + Send + Sync,
     F: Fn(isize, isize, &mut Out2<T>, &In2<T>) + Sync,
 {
-    let bytes_per_point = (outs.len() + ins.len()) * std::mem::size_of::<T>();
+    let points = range.points();
+    let bytes = points * (outs.len() + ins.len()) * std::mem::size_of::<T>();
+    let flops = points as f64 * flops_per_point;
     // Checked-execution mode: run serially and log every kernel access.
     let recording = access::recording_active();
     let mode = if recording { ExecMode::Serial } else { mode };
@@ -630,8 +691,6 @@ pub fn par_loop2<T, F>(
             ins.iter().map(|d| meta2(d)).collect(),
         );
     }
-    // View construction and profile bookkeeping stay outside the timed
-    // region: recorded seconds cover the loop body only.
     let seconds = if range.is_empty() {
         0.0
     } else {
@@ -656,33 +715,19 @@ pub fn par_loop2<T, F>(
                 kernel(i, j, &mut out, &inp);
             }
         };
-        let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-        let t0 = Instant::now();
-        match mode {
+        let ((), seconds) = timed(name, points, bytes, flops, || match mode {
             ExecMode::Serial => (range.j0..range.j1).for_each(body),
             ExecMode::Rayon => (range.j0..range.j1)
                 .into_par_iter()
                 .with_min_len(chunk_rows(range.i1 - range.i0))
                 .for_each(body),
-        }
-        let seconds = t0.elapsed().as_secs_f64();
-        tspan.set_args(
-            (range.points() * bytes_per_point) as f64,
-            range.points() as f64 * flops_per_point,
-            range.points() as f64,
-        );
+        });
         seconds
     };
     if recording {
         access::end_loop();
     }
-    profile.record(
-        name,
-        range.points(),
-        range.points() * bytes_per_point,
-        range.points() as f64 * flops_per_point,
-        seconds,
-    );
+    profile.record(name, points, bytes, flops, seconds);
 }
 
 /// Execute a 2-D loop on the slice fast path: the kernel is called once per
@@ -706,7 +751,9 @@ pub fn par_loop2_rows<T, F>(
     T: Copy + Send + Sync,
     F: Fn(isize, &mut RowOut2<T>, &RowIn2<T>) + Sync,
 {
-    let bytes_per_point = (outs.len() + ins.len()) * std::mem::size_of::<T>();
+    let points = range.points();
+    let bytes = points * (outs.len() + ins.len()) * std::mem::size_of::<T>();
+    let flops = points as f64 * flops_per_point;
     let recording = access::recording_active();
     let mode = if recording { ExecMode::Serial } else { mode };
     if recording {
@@ -725,53 +772,39 @@ pub fn par_loop2_rows<T, F>(
         let r = rviews2(ins);
         let width = (range.i1 - range.i0) as usize;
         let body = |j: isize| {
-            let mut out = RowOut2 {
-                views: &w,
-                i0: range.i0,
-                width,
-                j,
-            };
-            let inp = RowIn2 {
-                views: &r,
-                i0: range.i0,
-                width,
-                j,
-            };
-            kernel(j, &mut out, &inp);
+            let mut out = RowOut2::at(&w, range.i0, width, j);
+            kernel(j, &mut out, &RowIn2::at(&r, range.i0, width, j));
         };
-        let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-        let t0 = Instant::now();
-        match mode {
+        let ((), seconds) = timed(name, points, bytes, flops, || match mode {
             ExecMode::Serial => (range.j0..range.j1).for_each(body),
             ExecMode::Rayon => (range.j0..range.j1)
                 .into_par_iter()
                 .with_min_len(chunk_rows(range.i1 - range.i0))
                 .for_each(body),
-        }
-        let seconds = t0.elapsed().as_secs_f64();
-        tspan.set_args(
-            (range.points() * bytes_per_point) as f64,
-            range.points() as f64 * flops_per_point,
-            range.points() as f64,
-        );
+        });
         seconds
     };
     if recording {
         access::end_loop();
     }
-    profile.record(
-        name,
-        range.points(),
-        range.points() * bytes_per_point,
-        range.points() as f64 * flops_per_point,
-        seconds,
-    );
+    profile.record(name, points, bytes, flops, seconds);
 }
 
-/// Execute a 2-D reduction loop: the kernel maps each point to an `R`
-/// combined with `combine` (must be associative and commutative).
+/// Execute a 2-D reduction on the slice fast path: `kernel(j, ins, acc)`
+/// folds row `j` (read through [`RowIn2`]) into `acc` and returns it.
+///
+/// **Fold order.** Each row folds from a fresh `identity`; row results
+/// are then combined with `combine` in increasing `j`: left to right from
+/// `identity` in Serial mode, and in Rayon mode left to right within each
+/// scheduling chunk of rows, then chunk by chunk in order. A kernel that
+/// folds its row element by element, left to right, with the operation of
+/// `combine` therefore reproduces a per-point fold bit for bit — which is
+/// what keeps order-sensitive floating-point sums stable. `combine` must
+/// be associative for Rayon to match Serial.
+///
+/// Byte/FLOP accounting counts the input datasets only (no outputs).
 #[allow(clippy::too_many_arguments)]
-pub fn par_loop2_reduce<T, R, F, C>(
+pub fn par_loop2_rows_reduce<T, R, F, C>(
     profile: &mut Profile,
     name: &str,
     mode: ExecMode,
@@ -785,10 +818,12 @@ pub fn par_loop2_reduce<T, R, F, C>(
 where
     T: Copy + Send + Sync,
     R: Clone + Send + Sync,
-    F: Fn(isize, isize, &In2<T>) -> R + Sync,
+    F: Fn(isize, &RowIn2<T>, R) -> R + Sync,
     C: Fn(R, R) -> R + Sync + Send,
 {
-    let bytes_per_point = ins.len() * std::mem::size_of::<T>();
+    let points = range.points();
+    let bytes = points * ins.len() * std::mem::size_of::<T>();
+    let flops = points as f64 * flops_per_point;
     let recording = access::recording_active();
     let mode = if recording { ExecMode::Serial } else { mode };
     if recording {
@@ -800,58 +835,27 @@ where
             ins.iter().map(|d| meta2(d)).collect(),
         );
     }
-    let in_names = in_names2(ins);
-    let r = rviews2(ins);
-    let row = |j: isize| {
-        let mut acc = identity.clone();
-        for i in range.i0..range.i1 {
-            let inp = In2 {
-                views: &r,
-                names: &in_names,
-                i,
-                j,
-            };
-            acc = combine(acc, kernel(i, j, &inp));
-        }
-        acc
-    };
-    let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-    let t0 = Instant::now();
-    let result = if range.is_empty() {
-        identity.clone()
+    let (result, seconds) = if range.is_empty() {
+        (identity, 0.0)
     } else {
-        match mode {
+        let r = rviews2(ins);
+        let width = (range.i1 - range.i0) as usize;
+        let row = |j: isize| kernel(j, &RowIn2::at(&r, range.i0, width, j), identity.clone());
+        timed(name, points, bytes, flops, || match mode {
             ExecMode::Serial => {
-                let mut acc = identity.clone();
-                for j in range.j0..range.j1 {
-                    acc = combine(acc, row(j));
-                }
-                acc
+                (range.j0..range.j1).fold(identity.clone(), |acc, j| combine(acc, row(j)))
             }
             ExecMode::Rayon => (range.j0..range.j1)
                 .into_par_iter()
                 .with_min_len(chunk_rows(range.i1 - range.i0))
                 .map(row)
                 .reduce(|| identity.clone(), &combine),
-        }
+        })
     };
-    let seconds = t0.elapsed().as_secs_f64();
-    tspan.set_args(
-        (range.points() * bytes_per_point) as f64,
-        range.points() as f64 * flops_per_point,
-        range.points() as f64,
-    );
-    drop(tspan);
     if recording {
         access::end_loop();
     }
-    profile.record(
-        name,
-        range.points(),
-        range.points() * bytes_per_point,
-        range.points() as f64 * flops_per_point,
-        seconds,
-    );
+    profile.record(name, points, bytes, flops, seconds);
     result
 }
 
@@ -908,13 +912,33 @@ impl<T: Copy> WView3<T> {
         let ii = i + self.halo;
         let jj = j + self.halo;
         let kk = k + self.halo;
-        debug_assert!(ii >= 0 && jj >= 0 && kk >= 0);
-        let idx = kk as usize * self.slab + jj as usize * self.pitch + ii as usize;
+        // Wrapping arithmetic: see `WView2::index`.
+        let idx = (kk as usize)
+            .wrapping_mul(self.slab)
+            .wrapping_add((jj as usize).wrapping_mul(self.pitch))
+            .wrapping_add(ii as usize);
         assert!(
-            idx < self.len,
+            ii >= 0 && jj >= 0 && kk >= 0 && idx < self.len,
             "write at ({i},{j},{k}) outside dataset storage"
         );
         idx
+    }
+
+    /// Storage index of the `width`-point row starting at `(i0, j, k)`;
+    /// see [`WView2::row_base`].
+    #[inline(always)]
+    fn row_base(&self, i0: isize, j: isize, k: isize, width: usize) -> usize {
+        let ii = i0 + self.halo;
+        let jj = j + self.halo;
+        let kk = k + self.halo;
+        if ii < 0 || jj < 0 || kk < 0 || (self.pitch != 0 && ii as usize + width > self.pitch) {
+            row_outside(&[i0, j, k]);
+        }
+        let base = kk as usize * self.slab + jj as usize * self.pitch + ii as usize;
+        if base + width > self.len {
+            row_outside(&[i0, j, k]);
+        }
+        base
     }
 
     #[inline]
@@ -975,15 +999,35 @@ impl<T: Copy> RView3<'_, T> {
         let ii = i + self.halo;
         let jj = j + self.halo;
         let kk = k + self.halo;
-        debug_assert!(ii >= 0 && jj >= 0 && kk >= 0);
-        let idx = kk as usize * self.slab + jj as usize * self.pitch + ii as usize;
+        // Wrapping arithmetic: see `WView2::index`.
+        let idx = (kk as usize)
+            .wrapping_mul(self.slab)
+            .wrapping_add((jj as usize).wrapping_mul(self.pitch))
+            .wrapping_add(ii as usize);
         assert!(
-            idx < self.len,
+            ii >= 0 && jj >= 0 && kk >= 0 && idx < self.len,
             "read at ({i},{j},{k}) outside dataset storage"
         );
         // SAFETY: bounds-checked above; the storage outlives `'a` and no
         // concurrent writer touches the rows a loop reads (driver contract).
         unsafe { *self.ptr.add(idx) }
+    }
+
+    /// Storage index of the `width`-point row starting at `(i0, j, k)`;
+    /// see [`WView2::row_base`].
+    #[inline(always)]
+    fn row_base(&self, i0: isize, j: isize, k: isize, width: usize) -> usize {
+        let ii = i0 + self.halo;
+        let jj = j + self.halo;
+        let kk = k + self.halo;
+        if ii < 0 || jj < 0 || kk < 0 || ii as usize + width > self.pitch {
+            row_outside(&[i0, j, k]);
+        }
+        let base = kk as usize * self.slab + jj as usize * self.pitch + ii as usize;
+        if base + width > self.len {
+            row_outside(&[i0, j, k]);
+        }
+        base
     }
 }
 
@@ -1132,16 +1176,10 @@ impl<T: Copy> RowOut3<'_, T> {
             access::note_out(f, OutKind::Wrote);
         }
         let v = &self.views[f];
-        let base = v.index(self.i0, self.j, self.k);
-        assert!(
-            base + self.width <= v.len,
-            "row at (j={},k={}) overruns dataset storage",
-            self.j,
-            self.k
-        );
-        // SAFETY: bounds checked above; rows are disjoint across threads
-        // (drivers partition by `k`) and `&mut self` forbids overlapping
-        // slices of one dataset.
+        let base = v.row_base(self.i0, self.j, self.k, self.width);
+        // SAFETY: bounds checked by `row_base`; rows are disjoint across
+        // threads (drivers partition by `k`) and `&mut self` forbids
+        // overlapping slices of one dataset.
         unsafe { std::slice::from_raw_parts_mut(v.ptr.add(base), self.width) }
     }
 
@@ -1158,9 +1196,8 @@ impl<T: Copy> RowOut3<'_, T> {
             !std::ptr::eq(v0.ptr, v1.ptr),
             "output datasets must not alias"
         );
-        let b0 = v0.index(self.i0, self.j, self.k);
-        let b1 = v1.index(self.i0, self.j, self.k);
-        assert!(b0 + self.width <= v0.len && b1 + self.width <= v1.len);
+        let b0 = v0.row_base(self.i0, self.j, self.k, self.width);
+        let b1 = v1.row_base(self.i0, self.j, self.k, self.width);
         // SAFETY: as in `row`; distinct allocations.
         unsafe {
             (
@@ -1183,12 +1220,9 @@ impl<T: Copy> RowOut3<'_, T> {
             access::note_out(f2, OutKind::Wrote);
         }
         let (v0, v1, v2) = (&self.views[f0], &self.views[f1], &self.views[f2]);
-        let b0 = v0.index(self.i0, self.j, self.k);
-        let b1 = v1.index(self.i0, self.j, self.k);
-        let b2 = v2.index(self.i0, self.j, self.k);
-        assert!(
-            b0 + self.width <= v0.len && b1 + self.width <= v1.len && b2 + self.width <= v2.len
-        );
+        let b0 = v0.row_base(self.i0, self.j, self.k, self.width);
+        let b1 = v1.row_base(self.i0, self.j, self.k, self.width);
+        let b2 = v2.row_base(self.i0, self.j, self.k, self.width);
         // SAFETY: as in `row`; distinct allocations.
         unsafe {
             (
@@ -1230,30 +1264,23 @@ impl<'a, T> RowIn3<'a, T> {
 
 impl<'a, T: Copy> RowIn3<'a, T> {
     /// The current row of input dataset `f`.
-    #[inline]
+    #[inline(always)]
     pub fn row(&self, f: usize) -> &'a [T] {
         self.row_off(f, 0, 0, 0)
     }
 
     /// The row of input dataset `f` at stencil offset `(di, dj, dk)`:
     /// element `x` is the value at `(i0 + di + x, j + dj, k + dk)`.
-    #[inline]
+    #[inline(always)]
     pub fn row_off(&self, f: usize, di: isize, dj: isize, dk: isize) -> &'a [T] {
         // One note covers the whole row (see `RowIn2::row_off`).
         if access::recording_active() {
             access::note_read(f, di, dj, dk);
         }
         let v = &self.views[f];
-        let ii = self.i0 + di + v.halo;
-        let jj = self.j + dj + v.halo;
-        let kk = self.k + dk + v.halo;
-        debug_assert!(ii >= 0 && jj >= 0 && kk >= 0);
-        let base = kk as usize * v.slab + jj as usize * v.pitch + ii as usize;
-        assert!(
-            base + self.width <= v.len,
-            "row read at offset ({di},{dj},{dk}) overruns dataset storage"
-        );
-        // SAFETY: bounds-checked above; shared access for `'a` (see RView3).
+        let base = v.row_base(self.i0 + di, self.j + dj, self.k + dk, self.width);
+        // SAFETY: bounds-checked by `row_base`; shared access for `'a` (see
+        // RView3).
         unsafe { std::slice::from_raw_parts(v.ptr.add(base), self.width) }
     }
 }
@@ -1314,7 +1341,9 @@ pub(crate) fn chunk_planes(width: isize, height: isize) -> usize {
 }
 
 /// Execute a 3-D stencil loop (parallelized over `k` in Rayon mode,
-/// in chunks of [`chunk_planes`] planes).
+/// in chunks of [`chunk_planes`] planes). Like [`par_loop2`], this
+/// per-point form is a reference for tests and fixtures; application
+/// loops use [`par_loop3_planes`].
 #[allow(clippy::too_many_arguments)]
 pub fn par_loop3<T, F>(
     profile: &mut Profile,
@@ -1329,7 +1358,9 @@ pub fn par_loop3<T, F>(
     T: Copy + Send + Sync,
     F: Fn(isize, isize, isize, &mut Out3<T>, &In3<T>) + Sync,
 {
-    let bytes_per_point = (outs.len() + ins.len()) * std::mem::size_of::<T>();
+    let points = range.points();
+    let bytes = points * (outs.len() + ins.len()) * std::mem::size_of::<T>();
+    let flops = points as f64 * flops_per_point;
     let recording = access::recording_active();
     let mode = if recording { ExecMode::Serial } else { mode };
     if recording {
@@ -1369,33 +1400,19 @@ pub fn par_loop3<T, F>(
                 }
             }
         };
-        let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-        let t0 = Instant::now();
-        match mode {
+        let ((), seconds) = timed(name, points, bytes, flops, || match mode {
             ExecMode::Serial => (range.k0..range.k1).for_each(plane),
             ExecMode::Rayon => (range.k0..range.k1)
                 .into_par_iter()
                 .with_min_len(chunk_planes(range.i1 - range.i0, range.j1 - range.j0))
                 .for_each(plane),
-        }
-        let seconds = t0.elapsed().as_secs_f64();
-        tspan.set_args(
-            (range.points() * bytes_per_point) as f64,
-            range.points() as f64 * flops_per_point,
-            range.points() as f64,
-        );
+        });
         seconds
     };
     if recording {
         access::end_loop();
     }
-    profile.record(
-        name,
-        range.points(),
-        range.points() * bytes_per_point,
-        range.points() as f64 * flops_per_point,
-        seconds,
-    );
+    profile.record(name, points, bytes, flops, seconds);
 }
 
 /// Plane/row fast path for 3-D loops: the kernel is invoked once per
@@ -1417,8 +1434,9 @@ pub fn par_loop3_planes<T, F>(
     T: Copy + Send + Sync,
     F: Fn(isize, isize, &mut RowOut3<T>, &RowIn3<T>) + Sync,
 {
-    let bytes_per_point = (outs.len() + ins.len()) * std::mem::size_of::<T>();
-    let width = (range.i1 - range.i0).max(0) as usize;
+    let points = range.points();
+    let bytes = points * (outs.len() + ins.len()) * std::mem::size_of::<T>();
+    let flops = points as f64 * flops_per_point;
     let recording = access::recording_active();
     let mode = if recording { ExecMode::Serial } else { mode };
     if recording {
@@ -1435,57 +1453,40 @@ pub fn par_loop3_planes<T, F>(
     } else {
         let w = wviews3(outs);
         let r = rviews3(ins);
+        let width = (range.i1 - range.i0) as usize;
         let plane = |k: isize| {
             for j in range.j0..range.j1 {
-                let mut out = RowOut3 {
-                    views: &w,
-                    i0: range.i0,
-                    width,
-                    j,
-                    k,
-                };
-                let inp = RowIn3 {
-                    views: &r,
-                    i0: range.i0,
-                    width,
-                    j,
-                    k,
-                };
-                kernel(j, k, &mut out, &inp);
+                let mut out = RowOut3::at(&w, range.i0, width, j, k);
+                kernel(j, k, &mut out, &RowIn3::at(&r, range.i0, width, j, k));
             }
         };
-        let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-        let t0 = Instant::now();
-        match mode {
+        let ((), seconds) = timed(name, points, bytes, flops, || match mode {
             ExecMode::Serial => (range.k0..range.k1).for_each(plane),
             ExecMode::Rayon => (range.k0..range.k1)
                 .into_par_iter()
                 .with_min_len(chunk_planes(range.i1 - range.i0, range.j1 - range.j0))
                 .for_each(plane),
-        }
-        let seconds = t0.elapsed().as_secs_f64();
-        tspan.set_args(
-            (range.points() * bytes_per_point) as f64,
-            range.points() as f64 * flops_per_point,
-            range.points() as f64,
-        );
+        });
         seconds
     };
     if recording {
         access::end_loop();
     }
-    profile.record(
-        name,
-        range.points(),
-        range.points() * bytes_per_point,
-        range.points() as f64 * flops_per_point,
-        seconds,
-    );
+    profile.record(name, points, bytes, flops, seconds);
 }
 
-/// 3-D reduction loop.
+/// Execute a 3-D reduction on the plane/row path: `kernel(j, k, ins, acc)`
+/// folds the `i`-row at `(j, k)` into `acc` and returns it.
+///
+/// **Fold order.** Within a `k`-plane the accumulator starts from
+/// `identity` and is threaded through the plane's rows in increasing `j`;
+/// plane results are then combined with `combine` in increasing `k`, as
+/// [`par_loop2_rows_reduce`] combines rows (per chunk, then chunk by chunk
+/// in Rayon mode). A kernel folding its row left to right with the
+/// operation of `combine` thus reproduces a per-point fold in `k`, `j`,
+/// `i` order bit for bit.
 #[allow(clippy::too_many_arguments)]
-pub fn par_loop3_reduce<T, R, F, C>(
+pub fn par_loop3_planes_reduce<T, R, F, C>(
     profile: &mut Profile,
     name: &str,
     mode: ExecMode,
@@ -1499,10 +1500,12 @@ pub fn par_loop3_reduce<T, R, F, C>(
 where
     T: Copy + Send + Sync,
     R: Clone + Send + Sync,
-    F: Fn(isize, isize, isize, &In3<T>) -> R + Sync,
+    F: Fn(isize, isize, &RowIn3<T>, R) -> R + Sync,
     C: Fn(R, R) -> R + Sync + Send,
 {
-    let bytes_per_point = ins.len() * std::mem::size_of::<T>();
+    let points = range.points();
+    let bytes = points * ins.len() * std::mem::size_of::<T>();
+    let flops = points as f64 * flops_per_point;
     let recording = access::recording_active();
     let mode = if recording { ExecMode::Serial } else { mode };
     if recording {
@@ -1514,61 +1517,31 @@ where
             ins.iter().map(|d| meta3(d)).collect(),
         );
     }
-    let in_names = in_names3(ins);
-    let r = rviews3(ins);
-    let plane = |k: isize| {
-        let mut acc = identity.clone();
-        for j in range.j0..range.j1 {
-            for i in range.i0..range.i1 {
-                let inp = In3 {
-                    views: &r,
-                    names: &in_names,
-                    i,
-                    j,
-                    k,
-                };
-                acc = combine(acc, kernel(i, j, k, &inp));
-            }
-        }
-        acc
-    };
-    let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-    let t0 = Instant::now();
-    let result = if range.is_empty() {
-        identity.clone()
+    let (result, seconds) = if range.is_empty() {
+        (identity, 0.0)
     } else {
-        match mode {
+        let r = rviews3(ins);
+        let width = (range.i1 - range.i0) as usize;
+        let plane = |k: isize| {
+            (range.j0..range.j1).fold(identity.clone(), |acc, j| {
+                kernel(j, k, &RowIn3::at(&r, range.i0, width, j, k), acc)
+            })
+        };
+        timed(name, points, bytes, flops, || match mode {
             ExecMode::Serial => {
-                let mut acc = identity.clone();
-                for k in range.k0..range.k1 {
-                    acc = combine(acc, plane(k));
-                }
-                acc
+                (range.k0..range.k1).fold(identity.clone(), |acc, k| combine(acc, plane(k)))
             }
             ExecMode::Rayon => (range.k0..range.k1)
                 .into_par_iter()
                 .with_min_len(chunk_planes(range.i1 - range.i0, range.j1 - range.j0))
                 .map(plane)
                 .reduce(|| identity.clone(), &combine),
-        }
+        })
     };
-    let seconds = t0.elapsed().as_secs_f64();
-    tspan.set_args(
-        (range.points() * bytes_per_point) as f64,
-        range.points() as f64 * flops_per_point,
-        range.points() as f64,
-    );
-    drop(tspan);
     if recording {
         access::end_loop();
     }
-    profile.record(
-        name,
-        range.points(),
-        range.points() * bytes_per_point,
-        range.points() as f64 * flops_per_point,
-        seconds,
-    );
+    profile.record(name, points, bytes, flops, seconds);
     result
 }
 
@@ -1719,7 +1692,7 @@ mod tests {
         src.init_with(|i, j| (i + j) as f64);
         let expect = src.interior_sum();
         for mode in [ExecMode::Serial, ExecMode::Rayon] {
-            let s = par_loop2_reduce(
+            let s = par_loop2_rows_reduce(
                 &mut prof,
                 "sum",
                 mode,
@@ -1727,7 +1700,7 @@ mod tests {
                 &[&src],
                 0.0,
                 1.0,
-                |_i, _j, ins| ins.get(0, 0, 0),
+                |_j, ins, acc| ins.row(0).iter().fold(acc, |a, v| a + v),
                 |a, b| a + b,
             );
             assert!((s - expect).abs() < 1e-9);
@@ -1739,7 +1712,7 @@ mod tests {
         let mut prof = Profile::new();
         let mut src = Dat2::<f64>::new("src", 10, 10, 0);
         src.init_with(|i, j| (i * 10 + j) as f64);
-        let m = par_loop2_reduce(
+        let m = par_loop2_rows_reduce(
             &mut prof,
             "min",
             ExecMode::Rayon,
@@ -1747,7 +1720,7 @@ mod tests {
             &[&src],
             f64::INFINITY,
             0.0,
-            |_i, _j, ins| ins.get(0, 0, 0),
+            |_j, ins, acc| ins.row(0).iter().fold(acc, |a, &v| a.min(v)),
             f64::min,
         );
         assert_eq!(m, 23.0);
@@ -1818,7 +1791,7 @@ mod tests {
     fn reduce3_counts_points() {
         let mut prof = Profile::new();
         let src = Dat3::<f64>::new("src", 5, 6, 7, 0);
-        let n = par_loop3_reduce(
+        let n = par_loop3_planes_reduce(
             &mut prof,
             "count",
             ExecMode::Rayon,
@@ -1826,9 +1799,123 @@ mod tests {
             &[&src],
             0u64,
             0.0,
-            |_i, _j, _k, _ins| 1u64,
+            |_j, _k, ins, acc| acc + ins.row(0).len() as u64,
             |a, b| a + b,
         );
         assert_eq!(n, 210);
+    }
+
+    // The row accessors check a row's extent once, with `assert!`, so an
+    // offset past the halo panics in release builds too instead of
+    // wrapping into the neighbouring row.
+
+    fn read_row2(di: isize, dj: isize) {
+        let mut prof = Profile::new();
+        let src = Dat2::<f64>::new("src", 6, 4, 2);
+        let mut dst = Dat2::<f64>::new("dst", 6, 4, 2);
+        par_loop2_rows(
+            &mut prof,
+            "off",
+            ExecMode::Serial,
+            Range2::interior(6, 4),
+            &mut [&mut dst],
+            &[&src],
+            0.0,
+            |_j, out, ins| out.row(0).copy_from_slice(ins.row_off(0, di, dj)),
+        );
+    }
+
+    #[test]
+    fn row_off_at_the_halo_edge_is_allowed() {
+        read_row2(-2, -2);
+        read_row2(2, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the padded extent")]
+    fn row_off_below_the_halo_panics() {
+        read_row2(-3, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the padded extent")]
+    fn row_off_past_the_row_end_panics() {
+        read_row2(3, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the padded extent")]
+    fn row_off_below_the_first_row_panics() {
+        read_row2(0, -3);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn point_read_below_the_halo_panics() {
+        let mut prof = Profile::new();
+        let src = Dat2::<f64>::new("src", 6, 4, 2);
+        let mut dst = Dat2::<f64>::new("dst", 6, 4, 2);
+        par_loop2(
+            &mut prof,
+            "pt",
+            ExecMode::Serial,
+            Range2::interior(6, 4),
+            &mut [&mut dst],
+            &[&src],
+            0.0,
+            |_i, _j, out, ins| out.set(0, ins.get(0, -3, 0)),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the padded extent")]
+    fn output_row_before_the_halo_panics() {
+        let mut prof = Profile::new();
+        let mut dst = Dat2::<f64>::new("dst", 6, 4, 2);
+        par_loop2_rows(
+            &mut prof,
+            "low",
+            ExecMode::Serial,
+            Range2::new(-3, 6, 0, 4),
+            &mut [&mut dst],
+            &[],
+            0.0,
+            |_j, out, _ins| out.row(0).fill(1.0),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the padded extent")]
+    fn row_off3_below_the_halo_panics() {
+        let mut prof = Profile::new();
+        let src = Dat3::<f64>::new("src", 4, 4, 4, 2);
+        par_loop3_planes_reduce(
+            &mut prof,
+            "off3",
+            ExecMode::Serial,
+            Range3::interior(4, 4, 4),
+            &[&src],
+            0.0,
+            0.0,
+            |_j, _k, ins, acc| acc + ins.row_off(0, 0, 0, -3)[0],
+            |a, b| a + b,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the padded extent")]
+    fn output_row3_before_the_halo_panics() {
+        let mut prof = Profile::new();
+        let mut dst = Dat3::<f64>::new("dst", 4, 4, 4, 1);
+        par_loop3_planes(
+            &mut prof,
+            "low3",
+            ExecMode::Serial,
+            Range3::new(0, 4, -2, 4, 0, 4),
+            &mut [&mut dst],
+            &[],
+            0.0,
+            |_j, _k, out, _ins| out.row(0).fill(1.0),
+        );
     }
 }

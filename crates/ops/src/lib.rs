@@ -22,8 +22,11 @@
 //!
 //! ## Example: heat diffusion step
 //!
+//! Kernels run on the row path: the driver calls them once per row `j`
+//! with contiguous slices of that row, one per stencil offset read.
+//!
 //! ```
-//! use bwb_ops::{Dat2, ExecMode, Profile, Range2, par_loop2};
+//! use bwb_ops::{par_loop2_rows, par_loop2_rows_reduce, Dat2, ExecMode, Profile, Range2};
 //!
 //! let n = 64;
 //! let mut u = Dat2::<f64>::new("u", n, n, 1);
@@ -32,21 +35,33 @@
 //! u.set(n as isize / 2, n as isize / 2, 2.0);
 //!
 //! let mut prof = Profile::new();
-//! par_loop2(
+//! par_loop2_rows(
 //!     &mut prof, "diffuse", ExecMode::Serial,
-//!     Range2::new(0, n as isize, 0, n as isize),
+//!     Range2::interior(n, n),
 //!     &mut [&mut unew], &[&u],
 //!     5.0,
-//!     |i, j, out, ins| {
-//!         let c = ins.get(0, 0, 0);
-//!         let lap = ins.get(0, -1, 0) + ins.get(0, 1, 0)
-//!                 + ins.get(0, 0, -1) + ins.get(0, 0, 1) - 4.0 * c;
-//!         out.set(0, c + 0.1 * lap);
-//!         let _ = (i, j);
+//!     |_j, out, ins| {
+//!         let c = ins.row(0);
+//!         let (w, e) = (ins.row_off(0, -1, 0), ins.row_off(0, 1, 0));
+//!         let (s, nn) = (ins.row_off(0, 0, -1), ins.row_off(0, 0, 1));
+//!         for (i, o) in out.row(0).iter_mut().enumerate() {
+//!             let lap = w[i] + e[i] + s[i] + nn[i] - 4.0 * c[i];
+//!             *o = c[i] + 0.1 * lap;
+//!         }
 //!     },
 //! );
-//! assert_eq!(prof.records().len(), 1);
-//! assert!(unew.get(n as isize / 2, n as isize / 2) < 2.0);
+//! // Reductions fold each row into the running accumulator.
+//! let peak = par_loop2_rows_reduce(
+//!     &mut prof, "peak", ExecMode::Serial,
+//!     Range2::interior(n, n),
+//!     &[&unew],
+//!     f64::NEG_INFINITY,
+//!     0.0,
+//!     |_j, ins, acc| ins.row(0).iter().fold(acc, |m, &v| m.max(v)),
+//!     f64::max,
+//! );
+//! assert_eq!(prof.records().len(), 2);
+//! assert!(peak < 2.0);
 //! ```
 //!
 //! [Reguly et al. 2014]: https://doi.org/10.1109/WOLFHPC.2014.7
@@ -69,8 +84,9 @@ pub use access::{
 };
 pub use chain::{Binding, ChainError, ChainSpec, DatDecl, Expr, Step};
 pub use exec::{
-    par_loop2, par_loop2_reduce, par_loop2_rows, par_loop3, par_loop3_planes, par_loop3_reduce,
-    ExecMode, In2, In3, Out2, Out3, Range2, Range3, RowIn2, RowIn3, RowOut2, RowOut3,
+    par_loop2, par_loop2_rows, par_loop2_rows_reduce, par_loop3, par_loop3_planes,
+    par_loop3_planes_reduce, ExecMode, In2, In3, Out2, Out3, Range2, Range3, RowIn2, RowIn3,
+    RowOut2, RowOut3,
 };
 pub use field::{Dat2, Dat3};
 pub use halo::{BitHash, DistBlock2, DistBlock3};

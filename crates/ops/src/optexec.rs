@@ -23,15 +23,14 @@
 
 use crate::access;
 use crate::exec::{
-    chunk_planes, chunk_rows, rviews2, rviews3, ExecMode, FieldView2, FieldView3, RView2, RView3,
-    Range2, Range3, RowIn2, RowIn3, RowOut2, RowOut3, WView2, WView3,
+    chunk_planes, chunk_rows, rviews2, rviews3, timed, ExecMode, FieldView2, FieldView3, RView2,
+    RView3, Range2, Range3, RowIn2, RowIn3, RowOut2, RowOut3, WView2, WView3,
 };
 use crate::field::{Dat2, Dat3};
 use crate::ntstore::{nt_copy, NtElem};
 use crate::plan::{OptPlan, PlanError};
 use crate::profile::Profile;
 use rayon::prelude::*;
-use std::time::Instant;
 
 /// One member of a 2-D fused group: which store fields it writes/reads and
 /// its row kernel (the same shape [`crate::par_loop2_rows`] takes).
@@ -192,22 +191,21 @@ where
                 (l.kernel)(j, &mut out, &inp);
             }
         };
-        let label = names.join("+");
-        let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, &format!("fused:{label}"));
-        let t0 = Instant::now();
-        match mode {
-            ExecMode::Serial => (range.j0..range.j1).for_each(body),
-            ExecMode::Rayon => (range.j0..range.j1)
-                .into_par_iter()
-                .with_min_len(chunk_rows(range.i1 - range.i0))
-                .for_each(body),
-        }
-        let seconds = t0.elapsed().as_secs_f64();
+        let label = format!("fused:{}", names.join("+"));
         let fields_touched: usize = loops.iter().map(|l| l.outs.len() + l.ins.len()).sum();
-        tspan.set_args(
-            (range.points() * fields_touched * std::mem::size_of::<T>()) as f64,
-            range.points() as f64 * loops.iter().map(|l| l.flops_per_point).sum::<f64>(),
-            range.points() as f64,
+        let points = range.points();
+        let ((), seconds) = timed(
+            &label,
+            points,
+            points * fields_touched * std::mem::size_of::<T>(),
+            points as f64 * loops.iter().map(|l| l.flops_per_point).sum::<f64>(),
+            || match mode {
+                ExecMode::Serial => (range.j0..range.j1).for_each(body),
+                ExecMode::Rayon => (range.j0..range.j1)
+                    .into_par_iter()
+                    .with_min_len(chunk_rows(range.i1 - range.i0))
+                    .for_each(body),
+            },
         );
         seconds
     };
@@ -294,22 +292,21 @@ where
                 }
             }
         };
-        let label = names.join("+");
-        let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, &format!("fused:{label}"));
-        let t0 = Instant::now();
-        match mode {
-            ExecMode::Serial => (range.k0..range.k1).for_each(plane),
-            ExecMode::Rayon => (range.k0..range.k1)
-                .into_par_iter()
-                .with_min_len(chunk_planes(range.i1 - range.i0, range.j1 - range.j0))
-                .for_each(plane),
-        }
-        let seconds = t0.elapsed().as_secs_f64();
+        let label = format!("fused:{}", names.join("+"));
         let fields_touched: usize = loops.iter().map(|l| l.outs.len() + l.ins.len()).sum();
-        tspan.set_args(
-            (range.points() * fields_touched * std::mem::size_of::<T>()) as f64,
-            range.points() as f64 * loops.iter().map(|l| l.flops_per_point).sum::<f64>(),
-            range.points() as f64,
+        let points = range.points();
+        let ((), seconds) = timed(
+            &label,
+            points,
+            points * fields_touched * std::mem::size_of::<T>(),
+            points as f64 * loops.iter().map(|l| l.flops_per_point).sum::<f64>(),
+            || match mode {
+                ExecMode::Serial => (range.k0..range.k1).for_each(plane),
+                ExecMode::Rayon => (range.k0..range.k1)
+                    .into_par_iter()
+                    .with_min_len(chunk_planes(range.i1 - range.i0, range.j1 - range.j0))
+                    .for_each(plane),
+            },
         );
         seconds
     };
@@ -426,9 +423,9 @@ pub fn par_loop2_rows_nt<T, F>(
         row_body(&mut staging, j);
         pool.lock().expect("staging pool").push(staging);
     };
-    let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-    let t0 = Instant::now();
-    match mode {
+    let points = range.points();
+    let (bytes, flops) = (points * bytes_per_point, points as f64 * flops_per_point);
+    let ((), seconds) = timed(name, points, bytes, flops, || match mode {
         ExecMode::Serial => {
             let mut staging = make_staging();
             (range.j0..range.j1).for_each(|j| row_body(&mut staging, j));
@@ -437,21 +434,8 @@ pub fn par_loop2_rows_nt<T, F>(
             .into_par_iter()
             .with_min_len(chunk_rows(range.i1 - range.i0))
             .for_each(body),
-    }
-    let seconds = t0.elapsed().as_secs_f64();
-    tspan.set_args(
-        (range.points() * bytes_per_point) as f64,
-        range.points() as f64 * flops_per_point,
-        range.points() as f64,
-    );
-    drop(tspan);
-    profile.record(
-        name,
-        range.points(),
-        range.points() * bytes_per_point,
-        range.points() as f64 * flops_per_point,
-        seconds,
-    );
+    });
+    profile.record(name, points, bytes, flops, seconds);
 }
 
 /// [`crate::par_loop3_planes`]'s row fast path with certified outputs
@@ -540,9 +524,9 @@ pub fn par_loop3_planes_nt<T, F>(
         plane_body(&mut staging, k);
         pool.lock().expect("staging pool").push(staging);
     };
-    let mut tspan = bwb_trace::span(bwb_trace::Cat::Loop, name);
-    let t0 = Instant::now();
-    match mode {
+    let points = range.points();
+    let (bytes, flops) = (points * bytes_per_point, points as f64 * flops_per_point);
+    let ((), seconds) = timed(name, points, bytes, flops, || match mode {
         ExecMode::Serial => {
             let mut staging = make_staging();
             (range.k0..range.k1).for_each(|k| plane_body(&mut staging, k));
@@ -551,21 +535,8 @@ pub fn par_loop3_planes_nt<T, F>(
             .into_par_iter()
             .with_min_len(chunk_planes(range.i1 - range.i0, range.j1 - range.j0))
             .for_each(plane),
-    }
-    let seconds = t0.elapsed().as_secs_f64();
-    tspan.set_args(
-        (range.points() * bytes_per_point) as f64,
-        range.points() as f64 * flops_per_point,
-        range.points() as f64,
-    );
-    drop(tspan);
-    profile.record(
-        name,
-        range.points(),
-        range.points() * bytes_per_point,
-        range.points() as f64 * flops_per_point,
-        seconds,
-    );
+    });
+    profile.record(name, points, bytes, flops, seconds);
 }
 
 #[cfg(test)]

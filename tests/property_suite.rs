@@ -6,8 +6,8 @@ use bwb_core::op2::{
     Set,
 };
 use bwb_core::ops::{
-    par_loop2, par_loop2_rows, par_loop3, par_loop3_planes, Dat2, Dat3, ExecMode, Profile, Range2,
-    Range3,
+    par_loop2, par_loop2_rows, par_loop2_rows_reduce, par_loop3, par_loop3_planes,
+    par_loop3_planes_reduce, Dat2, Dat3, ExecMode, Profile, Range2, Range3,
 };
 use bwb_core::shmpi::{cart::dims_create, ReduceOp, Universe};
 use proptest::prelude::*;
@@ -342,6 +342,97 @@ proptest! {
         }
     }
 
+    /// The 2-D row reduce keeps its documented association — each row
+    /// folds from the identity, rows combine in increasing `j` — so an
+    /// order-sensitive f64 sum is bit-equal to the plain nested-loop fold,
+    /// for any range inside the halo (empty and negative-start ones
+    /// included). `f64::min` is bit-equal in Rayon mode too.
+    #[test]
+    fn rows_reduce_matches_nested_fold(i0 in -2isize..4, w in 0isize..21, j0 in -2isize..4,
+                                       h in 0isize..13, seed in 0u64..1000) {
+        let mut src = Dat2::<f64>::new("s", 24, 16, 2);
+        fill_mixed(src.raw_mut(), seed);
+        let range = Range2::new(i0, i0 + w, j0, j0 + h);
+        let mut sum_ref = 0.0f64;
+        let mut min_ref = f64::INFINITY;
+        for j in range.j0..range.j1 {
+            let mut row = 0.0f64;
+            for i in range.i0..range.i1 {
+                row += src.get(i, j) * 1.5;
+                min_ref = f64::min(min_ref, src.get(i, j));
+            }
+            sum_ref += row;
+        }
+        let mut prof = Profile::new();
+        let sum = par_loop2_rows_reduce(
+            &mut prof, "sum", ExecMode::Serial, range, &[&src], 0.0f64, 2.0,
+            |_j, ins, mut acc| {
+                for v in ins.row(0) {
+                    acc += v * 1.5;
+                }
+                acc
+            },
+            |a, b| a + b,
+        );
+        prop_assert_eq!(sum.to_bits(), sum_ref.to_bits());
+        for mode in [ExecMode::Serial, ExecMode::Rayon] {
+            let min = par_loop2_rows_reduce(
+                &mut prof, "min", mode, range, &[&src], f64::INFINITY, 0.0,
+                |_j, ins, acc| ins.row(0).iter().fold(acc, |m, &v| f64::min(m, v)),
+                f64::min,
+            );
+            prop_assert_eq!(min.to_bits(), min_ref.to_bits());
+        }
+        let rec = prof.get("sum").unwrap();
+        prop_assert_eq!(rec.points, range.points());
+        prop_assert_eq!(rec.bytes, range.points() * 8);
+    }
+
+    /// The 3-D plane reduce threads the accumulator through a plane's rows
+    /// from the identity and combines planes in increasing `k`: bit-equal
+    /// to that nested fold in Serial mode; `f64::min` bit-equal in Rayon.
+    #[test]
+    fn planes_reduce_matches_nested_fold(i0 in -1isize..3, w in 0isize..9, j0 in -1isize..3,
+                                         h in 0isize..8, k0 in -1isize..3, d in 0isize..8,
+                                         seed in 0u64..1000) {
+        let mut src = Dat3::<f64>::new("s", 10, 9, 9, 1);
+        fill_mixed(src.raw_mut(), seed);
+        let range = Range3::new(i0, i0 + w, j0, j0 + h, k0, k0 + d);
+        let mut sum_ref = 0.0f64;
+        let mut min_ref = f64::INFINITY;
+        for k in range.k0..range.k1 {
+            let mut plane = 0.0f64;
+            for j in range.j0..range.j1 {
+                for i in range.i0..range.i1 {
+                    plane += src.get(i, j, k) * 1.5;
+                    min_ref = f64::min(min_ref, src.get(i, j, k));
+                }
+            }
+            sum_ref += plane;
+        }
+        let mut prof = Profile::new();
+        let sum = par_loop3_planes_reduce(
+            &mut prof, "sum", ExecMode::Serial, range, &[&src], 0.0f64, 2.0,
+            |_j, _k, ins, mut acc| {
+                for v in ins.row(0) {
+                    acc += v * 1.5;
+                }
+                acc
+            },
+            |a, b| a + b,
+        );
+        prop_assert_eq!(sum.to_bits(), sum_ref.to_bits());
+        for mode in [ExecMode::Serial, ExecMode::Rayon] {
+            let min = par_loop3_planes_reduce(
+                &mut prof, "min", mode, range, &[&src], f64::INFINITY, 0.0,
+                |_j, _k, ins, acc| ins.row(0).iter().fold(acc, |m, &v| f64::min(m, v)),
+                f64::min,
+            );
+            prop_assert_eq!(min.to_bits(), min_ref.to_bits());
+        }
+        prop_assert_eq!(prof.get("sum").unwrap().points, range.points());
+    }
+
     /// Roofline evaluation is continuous, monotone in intensity up to the
     /// ridge, and flat beyond it.
     #[test]
@@ -355,6 +446,118 @@ proptest! {
         prop_assert!(a <= b + 1e-9);
         prop_assert!(b <= peak_f + 1e-9);
     }
+}
+
+/// Fill `v` with signed values spanning seven decades, so that any change
+/// in summation order changes the rounded sum.
+fn fill_mixed(v: &mut [f64], seed: u64) {
+    let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    for e in v.iter_mut() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let mag = 10f64.powi((x % 7) as i32 - 3);
+        let sign = if x & 8 == 0 { 1.0 } else { -1.0 };
+        *e = sign * mag * ((x >> 11) % 1000 + 1) as f64 / 7.0;
+    }
+}
+
+/// Every loop moved onto the row/plane drivers records exactly its
+/// declared stencil under checked execution: one `row_off` per declared
+/// offset, none undeclared, whatever the data-dependent upwind choice.
+#[test]
+fn ported_loops_record_their_declared_stencils() {
+    use bwb_core::apps::{acoustic, cloverleaf2d, cloverleaf3d, miniweather};
+    use bwb_core::ops::{with_recording, LoopObs, LoopSpec};
+    use std::collections::BTreeSet;
+
+    fn check(specs: &[LoopSpec], obs: &[LoopObs], names: &[&str]) {
+        for name in names {
+            let spec = specs
+                .iter()
+                .find(|s| s.name == *name)
+                .expect("declared loop");
+            let seen: Vec<&LoopObs> = obs.iter().filter(|o| o.name == *name).collect();
+            assert!(!seen.is_empty(), "{name} never ran");
+            for o in seen {
+                assert_eq!(o.ins.len(), spec.ins.len(), "{name} inputs");
+                for (a, d) in o.ins.iter().zip(&spec.ins) {
+                    let declared: BTreeSet<_> = d.stencil.offsets().copied().collect();
+                    assert_eq!(a.offsets, declared, "{name} input {}", d.name);
+                }
+                assert_eq!(o.outs.len(), spec.outs.len(), "{name} outputs");
+                assert!(o.outs.iter().all(|a| a.wrote), "{name} writes every output");
+            }
+        }
+    }
+
+    for advection in [
+        cloverleaf2d::Advection::DonorCell,
+        cloverleaf2d::Advection::VanLeer,
+    ] {
+        let ((), obs) = with_recording(|| {
+            let mut p = Profile::new();
+            let mut sim = cloverleaf2d::Clover2::new(cloverleaf2d::Config {
+                nx: 16,
+                ny: 12,
+                advection,
+                ..cloverleaf2d::Config::default()
+            });
+            for _ in 0..3 {
+                sim.cycle(&mut p, None);
+            }
+            sim.field_summary(&mut p);
+        });
+        check(
+            &cloverleaf2d::loop_specs(),
+            &obs,
+            &[
+                "advec_cell_x",
+                "advec_cell_y",
+                "advec_mom",
+                "calc_dt",
+                "field_summary",
+                "field_summary_ke",
+            ],
+        );
+    }
+    let ((), obs) = with_recording(|| {
+        let mut p = Profile::new();
+        let mut sim = cloverleaf3d::Clover3::new(cloverleaf3d::Config {
+            n: 8,
+            ..cloverleaf3d::Config::default()
+        });
+        for _ in 0..2 {
+            sim.cycle(&mut p);
+        }
+        sim.field_summary(&mut p);
+    });
+    check(
+        &cloverleaf3d::loop_specs(),
+        &obs,
+        &[
+            "advec_cell3_x",
+            "advec_cell3_y",
+            "advec_cell3_z",
+            "advec_mom3",
+            "calc_dt3",
+            "field_summary3",
+        ],
+    );
+    let ((), obs) = with_recording(|| {
+        let mut p = Profile::new();
+        let sim = acoustic::Acoustic::new(acoustic::Config {
+            n: 12,
+            ..acoustic::Config::default()
+        });
+        sim.energy(&mut p);
+    });
+    check(&acoustic::loop_specs(), &obs, &["acoustic_energy"]);
+    let ((), obs) = with_recording(|| {
+        let mut p = Profile::new();
+        miniweather::MiniWeather::new(miniweather::Config::default()).totals(&mut p);
+    });
+    check(&miniweather::loop_specs(), &obs, &["mw_totals"]);
 }
 
 /// Historical `coloring_valid_on_random_maps` failures, promoted from the
